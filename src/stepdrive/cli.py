@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .core import PulseSequence, validate
+from .core import PulseSequence
 from .effective import effective_hamiltonian, effective_with_jump, jump_sequence
 from .phenomena import beat_prediction, classify, design_manipulation
 from .propagator import evolve_many, transition_probabilities
@@ -39,6 +39,9 @@ from .spectrum import (
 )
 
 _CONFIG_KEYS = ("delta", "epsilon", "theta", "tau")
+
+# upper bound of `scan --jobs`, the number of worker processes
+_MAX_JOBS = 64
 
 
 class ConfigError(ValueError):
@@ -103,9 +106,9 @@ def read_config(path):
             "arrays must have equal lengths, got %s"
             % (", ".join("%s=%d" % kv for kv in sorted(lengths.items()))),
         )
-    return validate(PulseSequence.from_arrays(
+    return PulseSequence.from_arrays(
         arrays["delta"], arrays["epsilon"], arrays["theta"], arrays["tau"]
-    ))
+    )
 
 
 def _parse_grid(text, what):
@@ -216,9 +219,9 @@ def _scan_cell(payload):
     for (name, index), value in zip(zip(names, indices), values):
         arrays[name][index - 1] = value
     try:
-        sequence = validate(PulseSequence.from_arrays(
+        sequence = PulseSequence.from_arrays(
             arrays["delta"], arrays["epsilon"], arrays["theta"], arrays["tau"]
-        ))
+        )
         if resolve_tau is not None:
             sequence = design_manipulation(
                 sequence, "complete_transition", "durations"
@@ -257,6 +260,8 @@ def cmd_scan(args):
         raise ValueError("--resolve-tau currently supports only step 2")
     if args.resolve_tau is not None and n_steps != 2:
         raise ValueError("--resolve-tau needs a two-step sequence")
+    if not 1 <= args.jobs <= _MAX_JOBS:
+        raise ValueError("--jobs must lie in 1..%d, got %d" % (_MAX_JOBS, args.jobs))
 
     names = [a[0] for a in axes]
     indices = [a[1] for a in axes]
@@ -274,9 +279,12 @@ def cmd_scan(args):
                                  (float(x), float(y)), args.metric,
                                  args.resolve_tau))
 
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_scan_cell, payloads, chunksize=8))
+    workers = min(args.jobs, len(payloads))
+    if workers > 1:
+        # about four chunks per worker, as multiprocessing.Pool.map sizes them
+        chunk = -(-len(payloads) // (4 * workers))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_scan_cell, payloads, chunksize=chunk))
     else:
         results = [_scan_cell(p) for p in payloads]
     results.sort(key=lambda r: r[0])
@@ -370,7 +378,9 @@ def build_parser():
                    help="grid axis, e.g. delta2=0:100:41 (repeat for 2-D)")
     p.add_argument("--metric", choices=("eps_m", "omega_eff", "P12max"),
                    default="eps_m")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, 1..%d; never more than the cells "
+                        "(default 1)" % _MAX_JOBS)
     p.add_argument("--resolve-tau", type=int, default=None,
                    help="re-solve this step duration per cell so the "
                         "effective detuning vanishes (step 2 only)")

@@ -133,8 +133,15 @@ class PulseSequence(namedtuple("PulseSequence", ["steps"])):
 
     @property
     def period(self):
-        """Period T, the sequential sum of the durations."""
-        return float(self.boundaries[-1])
+        """Period T, the sequential sum of the durations.
+
+        Summed left to right in plain Python, so it equals the last
+        :attr:`boundaries` entry bit for bit without building that array.
+        """
+        total = 0.0
+        for step in self.steps:
+            total += step.tau
+        return float(total)
 
     @property
     def omega_t(self):

@@ -16,9 +16,9 @@ from collections import namedtuple
 import numpy as np
 import scipy.optimize
 
-from .core import BeatPrediction, DriveStep, PulseSequence, validate
+from .core import BeatPrediction, DriveStep, PropagatorCoeffs, PulseSequence, validate
 from .effective import effective_hamiltonian
-from .propagator import period_propagator, transition_probabilities
+from .propagator import compose, period_propagator, rotate, transition_probabilities
 from .spectrum import _aligned_times, fourier_numeric
 
 # dynamical-phase tolerance when recognizing quarter- and half-cycle pulses
@@ -366,19 +366,50 @@ def complete_transition_time(eps1, eps2, tau1, tau2):
     return 0.5 * math.pi * (tau1 + tau2) / (eps1 * tau1 + eps2 * tau2)
 
 
+# free parameter of the design problems -> DriveStep field of step 2
+_FREE_FIELDS = {
+    "detuning": "delta",
+    "coupling": "epsilon",
+    "phase": "theta",
+    "durations": "tau",
+}
+
+# a bracket residual below this, times the largest step phase E*tau (at
+# least 1), is recomputed on the scalar path before its sign is read:
+# numpy's hypot/cos/sin may round differently from math's, by about 1e-16
+# times that phase
+_BRACKET_RECHECK = 1e-9
+
+
 def _with_field(sequence, field, value):
-    step = sequence.steps[1]
-    if field == "detuning":
-        step = step._replace(delta=value)
-    elif field == "coupling":
-        step = step._replace(epsilon=value)
-    elif field == "phase":
-        step = step._replace(theta=value)
-    elif field == "durations":
-        step = step._replace(tau=value)
-    else:
+    if field not in _FREE_FIELDS:
         raise ValueError("unknown free parameter %r" % (field,))
+    step = sequence.steps[1]._replace(**{_FREE_FIELDS[field]: value})
     return PulseSequence((sequence.steps[0], step))
+
+
+def _bracket_residuals(sequence, field, grid):
+    """b(T) of ``_with_field(sequence, field, x)`` for every x in grid.
+
+    Returns the array of b(T) and the bound below which a value is to be
+    recomputed on the scalar path.  The batched form of design_manipulation's scalar residual
+    ``period_propagator(_with_field(sequence, field, x)).b``, in one numpy
+    pass: the varied step is not validated, its window is
+    (tau1 + tau2) - tau1 as intra_period forms it, and a null step
+    (E = 0) rotates about the zero axis.  Durations must be positive.
+    """
+    step1, step2 = sequence.steps
+    values = step2._asdict()
+    values[_FREE_FIELDS[field]] = grid
+    delta, eps, theta, tau = (values[k] for k in DriveStep._fields)
+    energy = np.hypot(eps, 0.5 * delta)
+    # unit denominators on null steps leave their zero numerators zero
+    norm = np.where(energy == 0.0, 1.0, energy)
+    axis = (eps * np.cos(theta) / norm, eps * np.sin(theta) / norm, 0.5 * delta / norm)
+    first = compose(PropagatorCoeffs.identity(), step1, step1.tau)
+    phase = energy * ((step1.tau + tau) - step1.tau)
+    bound = _BRACKET_RECHECK * max(1.0, float(np.abs(phase).max()))
+    return rotate(first, np.cos(phase), np.sin(phase), axis)[1], bound
 
 
 def design_manipulation(sequence, target, free_parameter):
@@ -392,7 +423,12 @@ def design_manipulation(sequence, target, free_parameter):
     target = 'complete_transition' zeroes the b coefficient of the period
     propagator by a bracketed root search over the free parameter
     (detuning, coupling, phase, or durations); a sequence already
-    satisfying the target is returned unchanged.
+    satisfying the target is returned unchanged.  The sign bracket (1024
+    or 2048 grid points) is evaluated in one batched numpy call; grid
+    points with |b| below 1e-9 (times the largest step phase E*tau when
+    that exceeds 1) are recomputed on the scalar path before their sign
+    is read, and brentq refines the root on the scalar path, so the
+    result is the one a point-by-point scalar search gives.
 
     Parameters
     ----------
@@ -441,15 +477,9 @@ def design_manipulation(sequence, target, free_parameter):
         def residual(x):
             return period_propagator(_with_field(sequence, free_parameter, x)).b
 
-        current = {
-            "detuning": step2.delta,
-            "coupling": step2.epsilon,
-            "phase": step2.theta,
-            "durations": step2.tau,
-        }
-        if free_parameter not in current:
+        if free_parameter not in _FREE_FIELDS:
             raise ValueError("unknown free parameter %r" % (free_parameter,))
-        if abs(residual(current[free_parameter])) < 1e-12:
+        if abs(residual(getattr(step2, _FREE_FIELDS[free_parameter]))) < 1e-12:
             return sequence
 
         scale = max(
@@ -464,7 +494,10 @@ def design_manipulation(sequence, target, free_parameter):
             ),
         }
         grid = grids[free_parameter]
-        vals = np.array([residual(x) for x in grid])
+        vals, bound = _bracket_residuals(sequence, free_parameter, grid)
+        # the negated test also sends nan to the scalar path, which raises
+        for i in np.flatnonzero(~(np.abs(vals) >= bound)):
+            vals[i] = residual(grid[i])
         sign = np.sign(vals)
         flips = np.nonzero(np.diff(sign) != 0)[0]
         if flips.size == 0:

@@ -46,12 +46,32 @@ def step_propagator(step, s):
     return PropagatorCoeffs(math.cos(phase), az * sn, ay * sn, ax * sn)
 
 
+def rotate(left, cn, sn, axis):
+    """The bilinear composition update shared by every propagator path.
+
+    Returns the (a, b, c, d) of U @ U_left as a plain tuple, where U is the
+    rotation with cos(E s) = cn and sin(E s) = sn about the unit ``axis``
+    (ax, ay, az).  The entries of ``left``, ``cn``, ``sn`` and the axis
+    components may be floats or broadcastable arrays; the operation order
+    per coefficient is fixed, so scalar and array callers get the same bits
+    from the same inputs.
+    """
+    a, b, c, d = left
+    ax, ay, az = axis
+    return (
+        a * cn - (d * ax + c * ay + b * az) * sn,
+        b * cn + (c * ax - d * ay + a * az) * sn,
+        c * cn + (-b * ax + a * ay + d * az) * sn,
+        d * cn + (a * ax + b * ay - c * az) * sn,
+    )
+
+
 def compose(left, step, s):
     """Apply a segment rotation on top of an existing propagator.
 
     Returns the coefficients of U_step(s) @ U_left.  This is the
     elementary recursion: each new segment mixes (a, b, c, d) through
-    fixed bilinear combinations with the segment axis.
+    fixed bilinear combinations with the segment axis (see :func:`rotate`).
 
     Parameters
     ----------
@@ -66,16 +86,7 @@ def compose(left, step, s):
     PropagatorCoeffs
     """
     phase = step.energy * s
-    cn = math.cos(phase)
-    sn = math.sin(phase)
-    ax, ay, az = step.axis
-    a, b, c, d = left
-    return PropagatorCoeffs(
-        a * cn - (d * ax + c * ay + b * az) * sn,
-        b * cn + (c * ax - d * ay + a * az) * sn,
-        c * cn + (-b * ax + a * ay + d * az) * sn,
-        d * cn + (a * ax + b * ay - c * az) * sn,
-    )
+    return PropagatorCoeffs(*rotate(left, math.cos(phase), math.sin(phase), step.axis))
 
 
 def intra_period(sequence, tprime):
@@ -98,16 +109,20 @@ def intra_period(sequence, tprime):
     ValueError
         If t' lies outside [0, T].
     """
-    bounds = sequence.boundaries
-    if tprime < 0.0 or tprime > bounds[-1]:
+    period = sequence.period
+    if tprime < 0.0 or tprime > period:
         raise ValueError(
-            "intra-period time %r outside [0, %r]" % (tprime, bounds[-1])
+            "intra-period time %r outside [0, %r]" % (tprime, period)
         )
+    # running boundaries, summed in the order of PulseSequence.boundaries
     coeffs = PropagatorCoeffs.identity()
-    for step, t0, t1 in zip(sequence.steps, bounds[:-1], bounds[1:]):
+    t0 = 0.0
+    for step in sequence.steps:
         if tprime <= t0:
             break
+        t1 = t0 + step.tau
         coeffs = compose(coeffs, step, min(tprime, t1) - t0)
+        t0 = t1
     return coeffs
 
 
@@ -264,15 +279,10 @@ def evolve_many(sequence, times):
     for k, step in enumerate(sequence.steps):
         sel = idx == k
         if sel.any():
-            s = tp[sel] - bounds[k]
-            cn = np.cos(step.energy * s)
-            sn = np.sin(step.energy * s)
-            ax, ay, az = step.axis
-            pa, pb, pc, pd = prefix
-            a[sel] = pa * cn - (pd * ax + pc * ay + pb * az) * sn
-            b[sel] = pb * cn + (pc * ax - pd * ay + pa * az) * sn
-            c[sel] = pc * cn + (-pb * ax + pa * ay + pd * az) * sn
-            d[sel] = pd * cn + (pa * ax + pb * ay - pc * az) * sn
+            phase = step.energy * (tp[sel] - bounds[k])
+            a[sel], b[sel], c[sel], d[sel] = rotate(
+                prefix, np.cos(phase), np.sin(phase), step.axis
+            )
         prefix = compose(prefix, step, step.tau)
 
     # whole-period part: per-time power factors, reflected when a(T) < 0

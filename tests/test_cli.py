@@ -227,6 +227,63 @@ def test_scan_parallel_equals_serial(tmp_path, capsys):
     assert capsys.readouterr().out == serial
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size and chunk size."""
+
+    calls = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        self.calls.append((self.max_workers, chunksize))
+        return map(fn, items)
+
+
+def test_scan_rejects_out_of_range_jobs_before_any_pool(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no process pool may be built")
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", refuse)
+    path = write_config(tmp_path, PAIR_CONFIG)
+    args = ["scan", path, "--vary", "delta2=30:50:5", "--metric", "omega_eff"]
+    for jobs in (0, -3, cli._MAX_JOBS + 1, 10**9):
+        assert cli.main(args + ["--jobs", str(jobs)]) == 1
+        err = capsys.readouterr().err
+        assert "--jobs must lie in 1..%d" % cli._MAX_JOBS in err
+
+
+@pytest.mark.parametrize(
+    "cells, jobs, expected",
+    [
+        (5, "1", []),
+        (5, "2", [(2, 1)]),
+        (5, str(cli._MAX_JOBS), [(5, 1)]),
+        (41, "3", [(3, 4)]),
+    ],
+)
+def test_scan_pool_gives_every_worker_cells(tmp_path, capsys, monkeypatch, cells, jobs, expected):
+    monkeypatch.setattr(_SerialPool, "calls", [])
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    path = write_config(tmp_path, PAIR_CONFIG)
+    args = ["scan", path, "--vary", "delta2=30:50:%d" % cells, "--metric", "omega_eff"]
+    assert cli.main(args + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert cli.main(args + ["--jobs", jobs]) == 0
+    assert capsys.readouterr().out == serial
+    assert _SerialPool.calls == expected
+    # at most one worker per cell, and at least one chunk per worker
+    for workers, chunk in _SerialPool.calls:
+        assert workers <= cells
+        assert -(-cells // chunk) >= workers
+
+
 def test_scan_two_axes_order_rows_by_first_axis(tmp_path, capsys):
     path = write_config(tmp_path, PAIR_CONFIG)
     assert cli.main(

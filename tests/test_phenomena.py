@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed
+import scipy.optimize
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from stepdrive import (
@@ -21,6 +22,7 @@ from stepdrive import (
     phase_from_beat,
     transition_probabilities,
 )
+from stepdrive.phenomena import _BRACKET_RECHECK, _bracket_residuals, _with_field
 
 from helpers import quarter_cycle_sequence, resonant_plus_detuned
 
@@ -287,8 +289,97 @@ def test_design_reports_empty_bracket():
     seq = PulseSequence.from_arrays(
         [40.0, 40.0], [1.0, 1.0], [0.0, 0.5], [tau, tau]
     )
+    # the batched bracket sees one sign over the whole phase circle
+    grid = np.linspace(-math.pi, math.pi, 1024)
+    vals, _ = _bracket_residuals(seq, "phase", grid)
+    assert np.all(vals > 0.0) or np.all(vals < 0.0)
     with pytest.raises(ValueError, match="no sign change"):
         design_manipulation(seq, "complete_transition", "phase")
+
+
+# off-resonant first step, strongly detuned second: no field starts at b = 0
+DESIGN_PAIR = ([2.5, 30.0], [1.1, 0.9], [0.0, 0.4], [0.35, 0.05])
+# the same with epsilon2 = 0: delta2 = 0 on a grid is a null step (E = 0)
+NULL_PAIR = ([2.5, 30.0], [1.1, 0.0], [0.0, 0.4], [0.35, 0.05])
+
+
+@pytest.mark.parametrize(
+    "arrays, field, grid",
+    [
+        (DESIGN_PAIR, "detuning", np.linspace(-300.0, 300.0, 2048)),
+        (DESIGN_PAIR, "coupling", np.linspace(3e-5, 600.0, 2048)),
+        (DESIGN_PAIR, "phase", np.linspace(-math.pi, math.pi, 1024)),
+        (DESIGN_PAIR, "durations", np.linspace(1e-9, 0.05 + 2.0 * math.pi / 15.0, 2048)),
+        (NULL_PAIR, "detuning", np.linspace(-40.0, 40.0, 81)),
+    ],
+)
+def test_batched_bracket_matches_the_scalar_residual(arrays, field, grid):
+    seq = PulseSequence.from_arrays(*arrays)
+    got, _ = _bracket_residuals(seq, field, grid)
+    want = [period_propagator(_with_field(seq, field, x)).b for x in grid]
+    assert got.shape == grid.shape
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def test_batched_bracket_recheck_bound_grows_with_the_step_phase():
+    # E*tau of the second step near 1e6
+    seq = PulseSequence.from_arrays([2.5, 2e4], [1.1, 0.9], [0.0, 0.4], [0.35, 100.0])
+    grid = np.linspace(1.998e4, 2.002e4, 512)
+    got, bound = _bracket_residuals(seq, "detuning", grid)
+    want = np.array([period_propagator(_with_field(seq, "detuning", x)).b for x in grid])
+    largest_phase = np.hypot(0.9, 0.5 * grid[-1]) * 100.0
+    assert bound == pytest.approx(_BRACKET_RECHECK * largest_phase, rel=1e-12)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=bound)
+    # every sign read without a scalar recheck is the scalar sign
+    kept = np.abs(got) >= bound
+    assert kept.sum() > len(grid) // 2
+    assert np.all(np.sign(got[kept]) == np.sign(want[kept]))
+
+
+def scalar_design_durations(seq):
+    """Root of the 2048-call scalar bracket plus brentq; None if no bracket."""
+
+    def residual(x):
+        return period_propagator(_with_field(seq, "durations", x)).b
+
+    step2 = seq.steps[1]
+    if abs(residual(step2.tau)) < 1e-12:
+        return step2.tau
+    grid = np.linspace(1e-9, step2.tau + 2.0 * math.pi / step2.energy, 2048)
+    sign = np.sign(np.array([residual(x) for x in grid]))
+    flips = np.nonzero(np.diff(sign) != 0)[0]
+    if flips.size == 0:
+        return None
+    i = flips[0]
+    return scipy.optimize.brentq(residual, grid[i], grid[i + 1], xtol=1e-14)
+
+
+@seed(11)
+@settings(max_examples=15, deadline=None)
+@given(
+    delta1=st.floats(-5.0, 5.0),
+    delta2=st.floats(-40.0, 40.0),
+    eps1=st.floats(0.2, 2.0),
+    eps2=st.floats(0.2, 2.0),
+    theta2=st.floats(-math.pi, math.pi),
+    tau1=st.floats(0.05, 1.0),
+    tau2=st.floats(0.02, 1.0),
+)
+def test_design_durations_root_is_bit_equal_to_the_scalar_loop(
+    delta1, delta2, eps1, eps2, theta2, tau1, tau2
+):
+    seq = PulseSequence.from_arrays(
+        [delta1, delta2], [eps1, eps2], [0.0, theta2], [tau1, tau2]
+    )
+    want = scalar_design_durations(seq)
+    if want is None:
+        with pytest.raises(ValueError, match="no sign change"):
+            design_manipulation(seq, "complete_transition", "durations")
+        return
+    out = design_manipulation(seq, "complete_transition", "durations")
+    assert out.steps[0] == seq.steps[0]
+    assert out.steps[1].tau == want
 
 
 def test_design_input_validation():

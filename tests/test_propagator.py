@@ -218,13 +218,15 @@ def test_split_time_promotes_ulp_remainders():
 
 
 def test_evolve_many_matches_scalar_evolve():
-    seq = five_step_sequence()
-    times = np.array([0.0, 0.3, 1.7, 5.0, 42.42, 1234.5]) * seq.period / 5.0
-    arrays = evolve_many(seq, times)
-    for i, t in enumerate(times):
-        single = evolve(seq, float(t))
-        got = tuple(x[i] for x in arrays)
-        assert got == pytest.approx(tuple(single), rel=1e-12, abs=1e-12)
+    # the one-step drive puts every time in the same segment
+    one_step = PulseSequence.from_arrays([0.7], [1.3], [0.4], [0.9])
+    for seq in (five_step_sequence(), one_step):
+        times = np.array([0.0, 0.3, 1.7, 5.0, 42.42, 1234.5]) * seq.period / 5.0
+        arrays = evolve_many(seq, times)
+        for i, t in enumerate(times):
+            single = evolve(seq, float(t))
+            got = tuple(x[i] for x in arrays)
+            assert got == pytest.approx(tuple(single), rel=1e-12, abs=1e-12)
 
 
 def test_evolve_many_preserves_shape():
