@@ -43,6 +43,10 @@ _CONFIG_KEYS = ("delta", "epsilon", "theta", "tau")
 # upper bound of `scan --jobs`, the number of worker processes
 _MAX_JOBS = 64
 
+# upper bound of the `propagate --tgrid` points and of the `scan` cells, so
+# that a mistyped count fails at once instead of exhausting memory
+_MAX_POINTS = 1_000_000
+
 
 class ConfigError(ValueError):
     """Config file rejected; str() carries file name and line number."""
@@ -112,7 +116,7 @@ def read_config(path):
 
 
 def _parse_grid(text, what):
-    """Parse `min:max:num` into an inclusive linspace."""
+    """Parse `min:max:num` into the (min, max, num) of an inclusive linspace."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("%s must look like min:max:num, got %r" % (what, text))
@@ -124,7 +128,15 @@ def _parse_grid(text, what):
         raise ValueError("%s needs at least one point" % (what,))
     if num == 1 and lo != hi:
         raise ValueError("%s with one point needs min == max" % (what,))
-    return np.linspace(lo, hi, num)
+    _check_points(num, what)
+    return lo, hi, num
+
+
+def _check_points(num, what):
+    if num > _MAX_POINTS:
+        raise ValueError(
+            "%s asks for %d points, more than the limit of %d" % (what, num, _MAX_POINTS)
+        )
 
 
 def _apply_jump(sequence, args):
@@ -139,7 +151,7 @@ def _g17(x):
 
 def cmd_propagate(args):
     sequence = _apply_jump(read_config(args.config), args)
-    times = _parse_grid(args.tgrid, "--tgrid")
+    times = np.linspace(*_parse_grid(args.tgrid, "--tgrid"))
     if times.min() < 0.0:
         raise ValueError("--tgrid times must be non-negative")
     a, b, c, d = evolve_many(sequence, times)
@@ -197,7 +209,10 @@ def cmd_classify(args):
 
 
 def _parse_vary(text):
-    """Parse `field=min:max:num` with field like delta2 or tau1."""
+    """Parse `field=min:max:num` with field like delta2 or tau1.
+
+    Returns (name, step number, (min, max, num)).
+    """
     if "=" not in text:
         raise ValueError("--vary must look like field=min:max:num, got %r" % (text,))
     field, _, grid_text = text.partition("=")
@@ -262,10 +277,11 @@ def cmd_scan(args):
         raise ValueError("--resolve-tau needs a two-step sequence")
     if not 1 <= args.jobs <= _MAX_JOBS:
         raise ValueError("--jobs must lie in 1..%d, got %d" % (_MAX_JOBS, args.jobs))
+    _check_points(math.prod(a[2][2] for a in axes), "the scan grid")
 
     names = [a[0] for a in axes]
     indices = [a[1] for a in axes]
-    grids = [a[2] for a in axes]
+    grids = [np.linspace(*a[2]) for a in axes]
     payloads = []
     if len(axes) == 1:
         for i, x in enumerate(grids[0]):
@@ -360,8 +376,8 @@ def build_parser():
     p.add_argument("--lmin", type=int, default=-4)
     p.add_argument("--lmax", type=int, default=4)
     p.add_argument("--periods", type=int, default=None,
-                   help="periods in the probe window (default: extrapolated "
-                        "for two steps, 256 otherwise)")
+                   help="periods in the probe window (default: the infinite "
+                        "window for two steps, 256 otherwise)")
     p.add_argument("--max-terms", type=int, default=3)
     p.set_defaults(func=cmd_spectrum)
 

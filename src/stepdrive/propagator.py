@@ -24,6 +24,10 @@ from .core import PropagatorCoeffs
 # of 0 or pi and the analytic limits of the power factors are substituted.
 _SIN2_FLOOR = 1e-16
 
+# times per block of evolve_many: its float64 temporaries (64 KB) stay below
+# the default malloc mmap threshold (128 KB), so they are reused across calls
+_BLOCK = 8192
+
 
 def step_propagator(step, s):
     """Propagator coefficients of one constant segment after time s.
@@ -237,7 +241,9 @@ def evolve_many(sequence, times):
     Vectorized equivalent of :func:`evolve`: returns four arrays
     (a, b, c, d) with the shape of ``times``.  Times are grouped by the
     segment their intra-period remainder falls in, so the cost is O(N +
-    len(times)).
+    len(times)).  Long arrays are processed in blocks of _BLOCK times, so
+    the temporaries stay small and the allocator reuses them instead of
+    mapping fresh pages on every call.
 
     Parameters
     ----------
@@ -252,8 +258,24 @@ def evolve_many(sequence, times):
     times = np.asarray(times, dtype=float)
     if times.size and times.min() < 0.0:
         raise ValueError("times must be non-negative")
-    shape = times.shape
     ts = times.ravel()
+    # prefix propagators at the segment starts are scalars, shared by all blocks
+    starts = []
+    prefix = PropagatorCoeffs.identity()
+    for step in sequence.steps:
+        starts.append(prefix)
+        prefix = compose(prefix, step, step.tau)
+    out = np.empty((4, ts.size))
+    for lo in range(0, ts.size, _BLOCK):
+        block = _evolve_block(sequence, starts, prefix, ts[lo:lo + _BLOCK])
+        for row, coeff in zip(out, block):
+            row[lo:lo + _BLOCK] = coeff
+    return tuple(row.reshape(times.shape) for row in out)
+
+
+def _evolve_block(sequence, starts, per, ts):
+    """(a, b, c, d) on a flat block of times, from the segment-start
+    propagators ``starts`` and the period propagator ``per``."""
     period = sequence.period
     bounds = sequence.boundaries
 
@@ -267,29 +289,25 @@ def evolve_many(sequence, times):
     n_per[wrap] += 1.0
     tp[wrap] = 0.0
 
-    # intra-period part: prefix propagators at the boundaries are scalars,
-    # the partial rotation inside the containing segment is vectorized
+    # intra-period part: the partial rotation inside the containing
+    # segment is vectorized
     a = np.empty_like(tp)
     b = np.empty_like(tp)
     c = np.empty_like(tp)
     d = np.empty_like(tp)
     idx = np.searchsorted(bounds, tp, side="right") - 1
     np.clip(idx, 0, len(sequence.steps) - 1, out=idx)
-    prefix = PropagatorCoeffs.identity()
-    for k, step in enumerate(sequence.steps):
+    for k, (step, prefix) in enumerate(zip(sequence.steps, starts)):
         sel = idx == k
         if sel.any():
             phase = step.energy * (tp[sel] - bounds[k])
             a[sel], b[sel], c[sel], d[sel] = rotate(
                 prefix, np.cos(phase), np.sin(phase), step.axis
             )
-        prefix = compose(prefix, step, step.tau)
 
     # whole-period part: per-time power factors, reflected when a(T) < 0
-    per = prefix
     cos_n, ratio = _power_factors_array(per.a, n_per)
-    out = _combine((a, b, c, d), per, cos_n, ratio)
-    return tuple(x.reshape(shape) for x in out)
+    return _combine((a, b, c, d), per, cos_n, ratio)
 
 
 def transition_probabilities(sequence, times):

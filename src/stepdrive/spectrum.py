@@ -1,18 +1,21 @@
 """Fourier content of the transition probability under periodic driving.
 
-Between any two period boundaries the transition probability is a constant
-plus a single tone at twice the segment energy, with coefficients that
-depend on the period index k only through cos(k*Theta) and
-sin(k*Theta)/sin(Theta).  Two routes to the line spectrum follow:
+Inside window n of period k, at t = k*T + t_n + s, the propagator is
+R_n(s) U(t_n) U(T)^k.  The segment rotation R_n(s) is linear in
+(cos E_n*s, sin E_n*s) and the power U(T)^k in (cos k*Theta, sin k*Theta),
+so the transition probability, quadratic in the propagator, is exactly
 
-* a numeric route valid for any step count, sampling the exact signal on a
-  boundary-aligned grid and projecting on the probe frequencies with a
-  composite Simpson rule;
-* a closed-form route for two-step sequences that evaluates every window
-  integral analytically and sums the per-period coefficients directly, so
-  the only truncation left is the number K of retained periods.
+    P = sum_{u,v} C_n[u, v] * h_u(2*E_n*s) * h_v(2*k*Theta),  h = (1, cos, sin),
 
-Both label lines the same way: "sideband" components sit at
+for any step count and in every parameter regime.  The 3x3 tables C_n are
+built once per drive.  The projection of P on exp(1j*omega*t) over K
+periods then factorizes into an analytic window integral over s times a
+geometric sum over k, so the line spectrum is exact and its cost does not
+grow with K.  As K -> infinity only discrete lines survive, at l*omega_T
+and +/-2*Theta/T + l*omega_T; a comb line closer to a probe than
+pi/(1024*T) counts as that probe's line.
+
+Lines are labelled by their probe: "sideband" components sit at
 |2*omega_eff + l*omega_T| with omega_eff on the positive-a branch, and
 "harmonic" components at integer multiples of omega_T.
 """
@@ -26,17 +29,12 @@ import numpy as np
 
 from .core import (
     DegenerateFrequencyWarning,
+    PropagatorCoeffs,
     SpectralComponent,
     SpectralModel,
 )
 from .effective import effective_hamiltonian
-from .propagator import (
-    _combine,
-    _power_factors_array,
-    intra_period,
-    step_propagator,
-    transition_probabilities,
-)
+from .propagator import _combine, compose, rotate, transition_probabilities
 
 # denominators |probe +/- 2 E_n| below this are treated as exactly resonant
 _DEGENERATE_TOL = 1e-10
@@ -44,8 +42,14 @@ _DEGENERATE_TOL = 1e-10
 # frequencies closer than this (in units of omega_T) are one spectral line
 _FOLD_TOL = 1e-9
 
-# Richardson extrapolation stages for the K -> infinity limit
-_RICHARDSON_KS = (256, 512, 1024)
+# in the infinite-window limit, comb lines closer than this (in units of
+# 1/T) to a probe are that probe's line
+_RESOLUTION = math.pi / 1024.0
+
+# x x^T = sum_u h_u(2*angle) * _PAIR[u] for x = (cos angle, sin angle)
+_PAIR = 0.5 * np.array([[[1.0, 0.0], [0.0, 1.0]],
+                        [[1.0, 0.0], [0.0, -1.0]],
+                        [[0.0, 1.0], [1.0, 0.0]]])
 
 ModelError = namedtuple("ModelError", ["value", "horizon"])
 
@@ -127,35 +131,100 @@ def _assemble_components(raw, omega_t, cap, dedup_tol):
     return tuple(comps)
 
 
-def _simpson_step_grid(sequence, samples_per_step):
-    """Nodes and weights of a composite Simpson rule over one period.
+def _line_table(sequence):
+    """Tables C_n of every window and the per-period rotation angle Theta.
 
-    Each step gets an even number of panels, so every node lies strictly
-    inside one smooth window or on a boundary; the rule is then O(h^4)
-    despite the kinks of the signal at the step edges.
+    In window n, U(k*T + t_n + s) = (cos(E_n*s) X + sin(E_n*s) Y) U(T)^k
+    with X = U(t_n) and Y its quarter turn about the step axis, and
+    U(T)^k = cos(k*Theta) + sin(k*Theta) G with G = (U(T) - a) / sin(Theta).
+    The (c, d) coefficients are therefore bilinear in the two cosine/sine
+    pairs, and P = c**2 + d**2 folds into the 3x3 table of h_u x h_v.  A
+    null rotation, U(T) = +/-1, leaves P independent of k; it gets Theta = 0
+    and no G part.
+
+    Returns
+    -------
+    (ndarray, float)
+        Tables of shape (N, 3, 3) and Theta in [0, pi].
     """
-    n = max(64, int(samples_per_step))
-    if n % 2:
-        n += 1
-    nodes = []
-    weights = []
-    bounds = sequence.boundaries
-    for t0, t1 in zip(bounds[:-1], bounds[1:]):
-        h = (t1 - t0) / n
-        nodes.append(np.linspace(t0, t1, n + 1))
-        w = np.full(n + 1, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        weights.append(w * (h / 3.0))
-    return np.concatenate(nodes), np.concatenate(weights)
+    starts = []
+    prefix = PropagatorCoeffs.identity()
+    for step in sequence.steps:
+        starts.append((prefix, rotate(prefix, 0.0, 1.0, step.axis)))
+        prefix = compose(prefix, step, step.tau)
+    per = prefix
+    sin_theta = math.hypot(per.b, per.c, per.d)
+    theta = math.atan2(sin_theta, per.a) if sin_theta > 0.0 else 0.0
+    # (c, d) of X, X G, Y, Y G for every window; _combine(X, U(T), 0, r)
+    # is r * X (U(T) - a), so a null rotation takes r = 0 and no G part
+    ratio = 1.0 / sin_theta if sin_theta > 0.0 else 0.0
+    rows = []
+    for pair in starts:
+        for left in pair:
+            turned = _combine(left, per, 0.0, ratio)
+            rows += [(left[2], left[3]), (turned.c, turned.d)]
+    m = np.array(rows).reshape(len(starts), 2, 2, 2).transpose(0, 3, 1, 2)
+    return np.einsum("upq,njqr,vrs,njps->nuv", _PAIR, m, _PAIR, m), theta
+
+
+def _comb(x, K):
+    """(1/K) * sum_{k<K} exp(1j*k*x); K=None gives the limit K -> infinity.
+
+    The phase is reduced to r in [-pi, pi] first, so the closed form of the
+    geometric sum stays exact on and near its peaks at multiples of 2*pi.
+    The limit is 1 on a peak and 0 elsewhere; a peak within the resolution
+    counts as hit.
+    """
+    r = math.remainder(x, 2.0 * math.pi)
+    if K is None:
+        return 1.0 if abs(r) < _RESOLUTION else 0.0
+    if r == 0.0:
+        return 1.0
+    return cmath.exp(0.5j * (K - 1) * r) * (math.sin(0.5 * K * r) / (K * math.sin(0.5 * r)))
+
+
+def _line_spectrum(sequence, l_range, K, warn):
+    """Exact line spectrum over K periods, or the infinite window for None."""
+    if K is not None and K < 1:
+        raise ValueError("need at least one period, got K=%r" % (K,))
+    period = sequence.period
+    omega_t = sequence.omega_t
+    heff = effective_hamiltonian(sequence, branch="positive_a")
+    probes = _probe_list(l_range, heff.omega_eff, omega_t)
+    tables, theta = _line_table(sequence)
+    starts = sequence.boundaries[:-1]
+
+    def project(omega, warn):
+        # (2/KT) integral of P(t) exp(1j*omega*t) over the K periods
+        phi = omega * period
+        plus, minus = _comb(phi + 2.0 * theta, K), _comb(phi - 2.0 * theta, K)
+        sums = np.array([_comb(phi, K), 0.5 * (plus + minus), -0.5j * (plus - minus)])
+        windows = np.array([
+            _window_integral(omega, 2.0 * step.energy, step.tau, warn)
+            for step in sequence.steps
+        ])
+        per_window = np.einsum("nu,nuv,v->n", windows, tables, sums)
+        return complex(2.0 / period * (np.exp(1j * omega * starts) @ per_window))
+
+    offset = 0.5 * project(0.0, False).real
+    raw = [
+        (family, l, freq, project(freq, warn))
+        for family, l, freq in probes
+        if freq != 0.0
+    ]
+    cap = 2.0 * math.pi / sequence.min_tau
+    dedup = (_RESOLUTION if K is None else math.pi / K) / period
+    return SpectralModel(offset, _assemble_components(raw, omega_t, cap, dedup))
 
 
 def fourier_numeric(sequence, l_range=(-4, 4), K=256, samples_per_step=64):
-    """Line spectrum of the transition probability by quadrature.
+    """Line spectrum of the transition probability over K periods.
 
-    Samples the exact signal over K periods on a boundary-aligned Simpson
-    grid and projects it on the sideband frequencies 2*omega_eff +
-    l*omega_T (positive-a branch) and the harmonics of omega_T.
+    Projects the exact signal over K periods on the sideband frequencies
+    2*omega_eff + l*omega_T (positive-a branch) and the harmonics of
+    omega_T.  Valid for any step count; the projection is exact (see the
+    module docstring), so nothing is sampled, and a probe resonant with a
+    window tone raises no warning.
 
     Parameters
     ----------
@@ -165,7 +234,8 @@ def fourier_numeric(sequence, l_range=(-4, 4), K=256, samples_per_step=64):
     K : int
         Number of periods retained in the projection window.
     samples_per_step : int
-        Simpson panels per step, at least 64.
+        Ignored: the projection needs no samples.  Still accepted so that
+        callers written for an earlier sampled version keep working.
 
     Returns
     -------
@@ -174,79 +244,7 @@ def fourier_numeric(sequence, l_range=(-4, 4), K=256, samples_per_step=64):
         sorted by decreasing amplitude.  Frequencies above 2*pi/min(tau_n)
         are discarded.
     """
-    if K < 1:
-        raise ValueError("need at least one period, got K=%r" % (K,))
-    period = sequence.period
-    omega_t = sequence.omega_t
-    heff = effective_hamiltonian(sequence, branch="positive_a")
-    probes = _probe_list(l_range, heff.omega_eff, omega_t)
-
-    nodes, weights = _simpson_step_grid(sequence, samples_per_step)
-    ks = np.arange(K)
-    times = (nodes[None, :] + period * ks[:, None]).ravel()
-    values = transition_probabilities(sequence, times).reshape(K, nodes.size)
-
-    total = K * period
-    offset = float(np.sum(values @ weights)) / total
-
-    raw = []
-    for family, l, freq in probes:
-        if freq == 0.0:
-            continue
-        inner = (values * weights) @ np.exp(1j * freq * nodes)
-        z = (2.0 / total) * (np.exp(1j * freq * period * ks) @ inner)
-        raw.append((family, l, freq, complex(z)))
-    cap = 2.0 * math.pi / sequence.min_tau
-    dedup = math.pi / total
-    return SpectralModel(offset, _assemble_components(raw, omega_t, cap, dedup))
-
-
-def _two_step_parts(sequence, K):
-    """Per-period tone coefficients of both windows of a two-step drive.
-
-    Within period k the transition probability is
-    r0[k] + rc[k]*cos(2*E1*s) + rs[k]*sin(2*E1*s) for local time s in the
-    first window and the q arrays with 2*E2 in the second.  The k
-    dependence enters only through the power-identity factors, evaluated
-    here for k = 0 .. K-1.
-    """
-    step1, step2 = sequence.steps
-    per = intra_period(sequence, sequence.period)
-    u1 = step_propagator(step1, step1.tau)
-    cos_k, ratio_k = _power_factors_array(per.a, np.arange(K))
-
-    def axis_product(left, axis):
-        ax, ay, az = axis
-        a, b, c, d = left
-        return (
-            -(d * ax + c * ay + b * az),
-            c * ax - d * ay + a * az,
-            -b * ax + a * ay + d * az,
-            a * ax + b * ay - c * az,
-        )
-
-    # window 1: U(kT + s) = U1(s) U(T)^k is linear in (cos E1 s, sin E1 s)
-    cos_part = _combine((1.0, 0.0, 0.0, 0.0), per, cos_k, ratio_k)
-    ax, ay, az = step1.axis
-    sin_part = _combine((0.0, az, ay, ax), per, cos_k, ratio_k)
-    r1c, r1s = cos_part.c, sin_part.c
-    r2c, r2s = cos_part.d, sin_part.d
-
-    # window 2: U(kT + tau1 + u) = U2(u) U1(tau1) U(T)^k
-    cos_part = _combine(tuple(u1), per, cos_k, ratio_k)
-    sin_part = _combine(axis_product(u1, step2.axis), per, cos_k, ratio_k)
-    q1c, q1s = cos_part.c, sin_part.c
-    q2c, q2s = cos_part.d, sin_part.d
-
-    def tone_triple(c1, s1, c2, s2):
-        zero = 0.5 * (c1 * c1 + s1 * s1 + c2 * c2 + s2 * s2)
-        cos_amp = 0.5 * (c1 * c1 - s1 * s1 + c2 * c2 - s2 * s2)
-        sin_amp = c1 * s1 + c2 * s2
-        return zero, cos_amp, sin_amp
-
-    r0, rc, rs = tone_triple(r1c, r1s, r2c, r2s)
-    q0, qc, qs = tone_triple(q1c, q1s, q2c, q2s)
-    return PiecewiseSpectralCoeffs(r0, rc, rs, q0, qc, qs)
+    return _line_spectrum(sequence, l_range, K, warn=False)
 
 
 def piecewise_coefficients(sequence, K):
@@ -260,7 +258,10 @@ def piecewise_coefficients(sequence, K):
     """
     if len(sequence.steps) != 2:
         raise ValueError("piecewise coefficients need exactly two steps")
-    return _two_step_parts(sequence, K)
+    tables, theta = _line_table(sequence)
+    angles = 2.0 * theta * np.arange(K)
+    h = np.stack([np.ones_like(angles), np.cos(angles), np.sin(angles)])
+    return PiecewiseSpectralCoeffs(*(tables[0] @ h), *(tables[1] @ h))
 
 
 def piecewise_evaluate(sequence, coeffs, times):
@@ -293,52 +294,12 @@ def piecewise_evaluate(sequence, coeffs, times):
     return out
 
 
-def _two_step_projection(sequence, coeffs, omega, K, warn):
-    """(2/KT) integral of the window model times exp(1j*omega*t)."""
-    step1, step2 = sequence.steps
-    period = sequence.period
-    tau1 = step1.tau
-    ks = np.arange(K)
-    phases = np.exp(1j * omega * period * ks)
-
-    g0, gc, gs = _window_integral(omega, 2.0 * step1.energy, tau1, warn)
-    win1 = (
-        (phases @ coeffs.r0) * g0
-        + (phases @ coeffs.rc) * gc
-        + (phases @ coeffs.rs) * gs
-    )
-    g0, gc, gs = _window_integral(omega, 2.0 * step2.energy, step2.tau, warn)
-    win2 = (
-        (phases @ coeffs.q0) * g0
-        + (phases @ coeffs.qc) * gc
-        + (phases @ coeffs.qs) * gs
-    )
-    return (2.0 / (K * period)) * (win1 + cmath.exp(1j * omega * tau1) * win2)
-
-
-def _closed_form_at_k(sequence, l_range, K):
-    omega_t = sequence.omega_t
-    heff = effective_hamiltonian(sequence, branch="positive_a")
-    probes = _probe_list(l_range, heff.omega_eff, omega_t)
-    coeffs = _two_step_parts(sequence, K)
-    offset = 0.5 * _two_step_projection(sequence, coeffs, 0.0, K, False).real
-    raw = []
-    for family, l, freq in probes:
-        if freq == 0.0:
-            continue
-        z = _two_step_projection(sequence, coeffs, freq, K, True)
-        raw.append((family, l, freq, z))
-    return offset, raw
-
-
 def fourier_closed_form_two_step(sequence, l_range=(-4, 4), K=None):
-    """Line spectrum of a two-step drive from closed-form window integrals.
+    """Line spectrum of a two-step drive, by default in the infinite window.
 
-    Every integral over a window is evaluated analytically; the sum over
-    the K retained periods is carried out exactly on the per-period
-    coefficient arrays.  With K=None the infinite-window limit is estimated
-    by Richardson extrapolation over K = 256, 512, 1024, which cancels the
-    1/K and 1/K^2 truncation terms.
+    The same exact projection as :func:`fourier_numeric`; with K=None it
+    returns the K -> infinity limit, the discrete lines themselves.  Unlike
+    :func:`fourier_numeric` it warns when a probe meets a window tone.
 
     Parameters
     ----------
@@ -347,7 +308,8 @@ def fourier_closed_form_two_step(sequence, l_range=(-4, 4), K=None):
     l_range : (int, int)
         Inclusive range of the summation index l.
     K : int or None
-        Number of retained periods; None extrapolates to K -> infinity.
+        Number of retained periods; None gives the infinite window, where
+        lines closer than pi/(1024*T) merge into one.
 
     Returns
     -------
@@ -361,29 +323,7 @@ def fourier_closed_form_two_step(sequence, l_range=(-4, 4), K=None):
     """
     if len(sequence.steps) != 2:
         raise ValueError("closed form requires exactly two steps")
-    cap = 2.0 * math.pi / sequence.min_tau
-    omega_t = sequence.omega_t
-    if K is not None:
-        if K < 1:
-            raise ValueError("need at least one period, got K=%r" % (K,))
-        offset, raw = _closed_form_at_k(sequence, l_range, K)
-        dedup = math.pi / (K * sequence.period)
-        return SpectralModel(offset, _assemble_components(raw, omega_t, cap, dedup))
-
-    stages = [_closed_form_at_k(sequence, l_range, k) for k in _RICHARDSON_KS]
-
-    def extrapolate(f1, f2, f4):
-        return (8.0 * f4 - 6.0 * f2 + f1) / 3.0
-
-    offset = extrapolate(*(s[0] for s in stages))
-    raw = []
-    for triples in zip(*(s[1] for s in stages)):
-        family, l, freq = triples[0][:3]
-        z = extrapolate(*(t[3] for t in triples))
-        raw.append((family, l, freq, z))
-    dedup = math.pi / (_RICHARDSON_KS[-1] * sequence.period)
-    return SpectralModel(offset, _assemble_components(raw, omega_t, cap, dedup))
-
+    return _line_spectrum(sequence, l_range, K, warn=True)
 
 def dominant_model(model, max_terms=3, floor=0.02):
     """Reduced model keeping at most max_terms components above the floor.

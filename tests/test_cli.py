@@ -17,6 +17,8 @@ from stepdrive import (
     jump_sequence,
 )
 
+from helpers import large_phase_drive, oracle_projection
+
 # resonant step then a strongly detuned one, quarter-cycle areas
 PAIR_CONFIG = """\
 delta = 0, 40
@@ -127,6 +129,32 @@ def test_propagate_rejects_bad_time_grids(tmp_path, capsys):
     assert "at least one point" in capsys.readouterr().err
 
 
+def test_grids_above_the_point_limit_exit_1_before_allocating(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be allocated or evaluated")
+
+    monkeypatch.setattr(cli.np, "linspace", refuse)
+    monkeypatch.setattr(cli, "evolve_many", refuse)
+    monkeypatch.setattr(cli, "_scan_cell", refuse)
+    path = write_config(tmp_path, PAIR_CONFIG)
+    huge = 10**12
+    assert cli.main(["propagate", path, "--tgrid", "0:1:%d" % huge]) == 1
+    err = capsys.readouterr().err
+    assert "--tgrid asks for %d points, more than the limit of %d" % (
+        huge, cli._MAX_POINTS) in err
+    assert cli.main(["scan", path, "--vary", "delta2=0:1:%d" % huge]) == 1
+    assert "--vary asks for %d points" % huge in capsys.readouterr().err
+    # each axis is within the limit, the grid they span is not
+    side = 10**6
+    assert side <= cli._MAX_POINTS < side * side
+    assert cli.main(
+        ["scan", path, "--vary", "delta2=0:1:%d" % side, "--vary", "tau2=0.1:0.2:%d" % side]
+    ) == 1
+    assert "the scan grid asks for %d points" % huge in capsys.readouterr().err
+
+
 def test_heff_report_matches_the_library(tmp_path, capsys):
     path = write_config(tmp_path, PAIR_CONFIG)
     seq = cli.read_config(path)
@@ -186,6 +214,24 @@ def test_spectrum_sections_are_deterministic(tmp_path, capsys):
         if line and not line.startswith("#") and not line.startswith("l,")
     ]
     assert len(rows) == 1
+
+
+def test_spectrum_of_a_large_phase_step_matches_the_oracle_window(tmp_path, capsys):
+    # three steps (256-period window), one turning by E*tau = 300 rad
+    seq = large_phase_drive()
+    path = write_config(tmp_path, "".join(
+        "%s = %s\n" % (key, ", ".join(repr(getattr(s, key)) for s in seq.steps))
+        for key in ("delta", "epsilon", "theta", "tau")
+    ))
+    assert cli.main(["spectrum", path]) == 0
+    full = capsys.readouterr().out.split("# reduced")[0].splitlines()
+    offset = float(full[1].split("=")[1])
+    rows = [line.split(",") for line in full[3:]]
+    freqs = [float(row[1]) for row in rows]
+    z = oracle_projection(seq, [0.0] + freqs, 256)
+    assert abs(offset - 0.5 * z[0].real) < 1e-6
+    for row, zz in zip(rows, z[1:]):
+        assert abs(float(row[2]) - abs(zz)) < 1e-6
 
 
 def test_classify_prints_the_report(tmp_path, capsys):

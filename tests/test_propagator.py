@@ -20,7 +20,7 @@ from stepdrive import (
     transition_probability,
 )
 from stepdrive.oracle import brute_force_evolve
-from stepdrive.propagator import _power_factors, _split_time
+from stepdrive.propagator import _BLOCK, _power_factors, _split_time
 
 from helpers import coeffs_from_unitary, detuned_pair, random_sequence
 
@@ -227,6 +227,23 @@ def test_evolve_many_matches_scalar_evolve():
             single = evolve(seq, float(t))
             got = tuple(x[i] for x in arrays)
             assert got == pytest.approx(tuple(single), rel=1e-12, abs=1e-12)
+
+
+def test_evolve_many_blocks_give_the_same_bits():
+    # more than two blocks, boundaries and whole periods among the times:
+    # each time must get the bits it gets when evaluated on its own
+    seq = five_step_sequence()
+    rng = np.random.default_rng(5)
+    count = 2 * _BLOCK + 37
+    times = rng.uniform(0.0, 300.0 * seq.period, count)
+    times[::97] = seq.boundaries[rng.integers(0, 6, times[::97].size)]
+    times[::89] += seq.period * rng.integers(0, 40, times[::89].size)
+    arrays = evolve_many(seq, times.reshape(-1, 1))
+    assert all(x.shape == (count, 1) for x in arrays)
+    edges = [0, _BLOCK - 1, _BLOCK, count - 1]
+    for i in edges + list(range(0, count, 211)):
+        alone = evolve_many(seq, times[i:i + 1])
+        assert tuple(x[i, 0] for x in arrays) == tuple(x[0] for x in alone)
 
 
 def test_evolve_many_preserves_shape():

@@ -23,22 +23,31 @@ from stepdrive import (
     two_step_empirical_model,
     write_csv,
 )
+from stepdrive.oracle import numeric_fourier
 from stepdrive.spectrum import _aligned_times
 
-from helpers import resonant_plus_detuned
+from helpers import large_phase_drive, oracle_projection, resonant_plus_detuned
 
-# frozen Richardson-extrapolated lines of the resonant-plus-detuned pair
-RPD_OFFSET = 0.50002174406081423
+# frozen infinite-window lines of the resonant-plus-detuned pair
+RPD_OFFSET = 0.49999999999999994
 RPD_LINES = (
     # (family, index, frequency, amplitude, phase)
-    ("sideband", -1, 1.9654586822323394, 0.25482453903973751, 3.1177471920840234),
-    ("sideband", 0, 1.8442914738226523, 0.24690442072107194, 3.0114004962292569),
-    ("sideband", 1, 5.6540416298776446, 0.0092231879358422256, -0.26195005442991126),
+    ("sideband", -1, 1.9654586822323394, 0.2597714949420412, 3.114463966053745),
+    ("sideband", 0, 1.8442914738226523, 0.2515920499872366, 3.019299463104781),
+    ("sideband", 1, 5.654041629877645, 0.00944674621769675, -0.27171506850607385),
 )
 
 CLOSED_VS_NUMERIC_AMP = 1e-5
 CLOSED_VS_NUMERIC_PHASE = 1e-4
 STRONG_LINE = 1e-3
+
+# an infinite-window line against the oracle's projection over this many
+# periods; leakage from the neighbouring lines falls like 1/(K*T*spacing)
+LONG_WINDOW = 65536
+LONG_WINDOW_TOL = 1e-3
+
+# a finite-window spectrum against the oracle's projection over the same window
+SAME_WINDOW_TOL = 1e-6
 
 
 def test_piecewise_model_reconstructs_signal_exactly():
@@ -83,20 +92,59 @@ def test_resonant_detuned_pair_frozen_lines():
         assert got.phase == pytest.approx(phase, rel=1e-10)
 
 
+def test_resonant_detuned_pair_lines_match_a_long_oracle_window():
+    # independent of the frozen values above: the brute-force signal
+    # projected over a window long enough to separate the lines
+    seq = resonant_plus_detuned()
+    model = fourier_closed_form_two_step(seq)
+    top = model.components[:3]
+    z = oracle_projection(seq, [0.0] + [c.frequency for c in top], LONG_WINDOW)
+    assert model.offset == pytest.approx(0.5 * z[0].real, abs=LONG_WINDOW_TOL)
+    for comp, zz in zip(top, z[1:]):
+        assert comp.amplitude == pytest.approx(abs(zz), abs=LONG_WINDOW_TOL)
+
+
+def test_slow_two_step_drive_top_line_matches_a_long_oracle_window():
+    # a slow drive whose strongest line needs about 200 periods for one
+    # oscillation, so windows of a few hundred periods are far from the limit
+    seq = PulseSequence.from_arrays(
+        [-0.12182876106764555, -0.11519778135206327],
+        [0.019069523424595395, 0.12227882206084136],
+        [0.2093887759383418, 2.5171675618001754],
+        [0.014059490937753867, 0.11702189369386991],
+    )
+    model = fourier_closed_form_two_step(seq)
+    top = model.components[0]
+    z = oracle_projection(seq, [0.0, top.frequency], LONG_WINDOW)
+    assert model.offset == pytest.approx(0.5 * z[0].real, abs=LONG_WINDOW_TOL)
+    assert top.amplitude == pytest.approx(abs(z[1]), abs=LONG_WINDOW_TOL)
+
+
+def test_large_phase_step_matches_the_oracle_window():
+    # one step turns by E*tau = 300 rad; the projection has no sampling
+    # grid that could alias it
+    seq = large_phase_drive()
+    model = fourier_numeric(seq)
+    z = oracle_projection(seq, [0.0] + [c.frequency for c in model.components], 256)
+    assert model.offset == pytest.approx(0.5 * z[0].real, abs=SAME_WINDOW_TOL)
+    for comp, zz in zip(model.components, z[1:]):
+        assert comp.amplitude == pytest.approx(abs(zz), abs=SAME_WINDOW_TOL)
+
+
 def test_closed_form_matches_quadrature():
     seq = resonant_plus_detuned()
     closed = fourier_closed_form_two_step(seq, l_range=(-3, 3), K=256)
-    numeric = fourier_numeric(seq, l_range=(-3, 3), K=256)
-    assert closed.offset == pytest.approx(numeric.offset, abs=1e-12)
-    by_freq = {round(c.frequency, 9): c for c in numeric.components}
+    times = np.linspace(0.0, 256 * seq.period, 256 * 2000 + 1)
+    values = transition_probabilities(seq, times)
+    offset = 0.5 * numeric_fourier(times, values, 0.0).real
+    assert closed.offset == pytest.approx(offset, abs=1e-12)
     matched = 0
     for comp in closed.components:
-        other = by_freq[round(comp.frequency, 9)]
-        assert comp.amplitude == pytest.approx(
-            other.amplitude, abs=CLOSED_VS_NUMERIC_AMP
-        )
+        z = numeric_fourier(times, values, comp.frequency)
+        assert comp.amplitude == pytest.approx(abs(z), abs=CLOSED_VS_NUMERIC_AMP)
         if comp.amplitude > STRONG_LINE:
-            assert comp.phase == pytest.approx(other.phase, abs=CLOSED_VS_NUMERIC_PHASE)
+            phase = math.atan2(z.imag, z.real)
+            assert comp.phase == pytest.approx(phase, abs=CLOSED_VS_NUMERIC_PHASE)
             matched += 1
     assert matched >= 3
 
