@@ -246,23 +246,6 @@ class PropagatorCoeffs(namedtuple("PropagatorCoeffs", ["a", "b", "c", "d"])):
             ]
         )
 
-    # Derived row vectors used by the composition recursion; views, not state.
-    @property
-    def vec_a(self):
-        return (self.d, self.c, self.b)
-
-    @property
-    def vec_b(self):
-        return (self.c, -self.d, self.a)
-
-    @property
-    def vec_c(self):
-        return (-self.b, self.a, self.d)
-
-    @property
-    def vec_d(self):
-        return (self.a, self.b, -self.c)
-
 
 class EffectiveHamiltonian(
     namedtuple(

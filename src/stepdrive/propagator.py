@@ -3,15 +3,18 @@
 A single constant segment rotates the Bloch vector about its field axis;
 segments compose through a four-term real recursion on the SU(2)
 coefficients (a, b, c, d).  Whole periods enter through a Chebyshev-style
-power identity in the per-period rotation angle Theta = arccos(a(T)), so
+power identity in the per-period rotation angle Theta of U(T), so
 evaluating the propagator at t' + script_N * T costs O(N) regardless of the
 period count script_N.
 
 The power identity needs cos(script_N*Theta) and the ratio
-sin(script_N*Theta)/sin(Theta).  Both are evaluated in a reflected form
-when a(T) < 0: writing Theta = pi - s and reducing arguments against s
-instead of Theta keeps full precision where the naive expressions lose
-about six digits as Theta approaches pi at large script_N.
+sin(script_N*Theta)/sin(Theta).  Theta is read with atan2 from the whole
+quadruple, sin(Theta) = |(b, c, d)| against cos(Theta) = a, which keeps
+full relative precision next to U(T) = +/-1, where arccos(a) has a relative
+error of about eps/sin(Theta)**2.  When a(T) < 0 the angle is reflected,
+Theta = pi - s with s = atan2(|(b, c, d)|, -a): a float Theta near pi
+carries an absolute rounding of about ulp(pi) that script_N multiplies,
+while the small s keeps its relative precision.
 """
 
 import math
@@ -19,10 +22,6 @@ import math
 import numpy as np
 
 from .core import PropagatorCoeffs
-
-# Below this value of sin(Theta)**2 the per-period rotation is within 1e-8
-# of 0 or pi and the analytic limits of the power factors are substituted.
-_SIN2_FLOOR = 1e-16
 
 # times per block of evolve_many: its float64 temporaries (64 KB) stay below
 # the default malloc mmap threshold (128 KB), so they are reused across calls
@@ -44,10 +43,7 @@ def step_propagator(step, s):
         a = cos(E s), (b, c, d) = (z, y, x) components of the field axis
         times sin(E s), with E the segment energy.
     """
-    phase = step.energy * s
-    sn = math.sin(phase)
-    ax, ay, az = step.axis
-    return PropagatorCoeffs(math.cos(phase), az * sn, ay * sn, ax * sn)
+    return compose(PropagatorCoeffs.identity(), step, s)
 
 
 def rotate(left, cn, sn, axis):
@@ -135,29 +131,6 @@ def period_propagator(sequence):
     return intra_period(sequence, sequence.period)
 
 
-def _power_factors(a, n):
-    """cos(n*Theta) and sin(n*Theta)/sin(Theta) for Theta = arccos(a).
-
-    For a < 0 the computation is reflected, s = arccos(-a), using
-    cos(n*Theta) = (-1)**n cos(n*s) and sin(n*Theta) = (-1)**(n+1) sin(n*s),
-    so the small residual pi - Theta is never formed by cancellation.  When
-    sin(Theta)**2 falls below the floor the analytic limits are returned:
-    ratio -> n as Theta -> 0 and n*(-1)**(n-1) as Theta -> pi.
-    """
-    a = max(-1.0, min(1.0, a))
-    odd = n % 2
-    if (1.0 - a) * (1.0 + a) < _SIN2_FLOOR:
-        if a >= 0.0:
-            return 1.0, float(n)
-        return (-1.0 if odd else 1.0), (float(n) if odd else -float(n))
-    if a >= 0.0:
-        ang = math.acos(a)
-        return math.cos(n * ang), math.sin(n * ang) / math.sin(ang)
-    ang = math.acos(-a)
-    sign = -1.0 if odd else 1.0
-    return sign * math.cos(n * ang), -sign * math.sin(n * ang) / math.sin(ang)
-
-
 def _combine(inner, per, cos_n, ratio):
     # power identity: U(t' + nT) from U(t'), U(T), cos(n*Theta) and
     # sin(n*Theta)/sin(Theta); linear in `inner`, so it also serves the
@@ -172,35 +145,46 @@ def _combine(inner, per, cos_n, ratio):
     )
 
 
-def _power_factors_array(a, ns):
-    """Vectorized :func:`_power_factors` for an array of period counts."""
-    a = max(-1.0, min(1.0, a))
-    ns = np.asarray(ns, dtype=float)
-    if (1.0 - a) * (1.0 + a) < _SIN2_FLOOR:
-        if a >= 0.0:
-            return np.ones_like(ns), ns.copy()
-        parity = 1.0 - 2.0 * np.mod(ns, 2.0)
-        return parity, -parity * ns
-    if a >= 0.0:
-        ang = math.acos(a)
-        return np.cos(ns * ang), np.sin(ns * ang) / math.sin(ang)
-    ang = math.acos(-a)
+def _power_factors(per, ns):
+    """cos(n*Theta) and sin(n*Theta)/sin(Theta) for the rotation U(T) = per.
+
+    ``ns`` is a float or an array of period counts.  Theta is read with
+    atan2 from sin(Theta) = |(b, c, d)|; for a < 0 the computation is
+    reflected, s = pi - Theta = atan2(sin(Theta), -a), using
+    cos(n*Theta) = (-1)**n cos(n*s) and sin(n*Theta) = (-1)**(n+1) sin(n*s),
+    so a Theta near pi is never rounded to a float before it is multiplied
+    by n.  A null rotation, U(T) = +/-1, has s = 0 and gets the ratio 0,
+    which _combine multiplies by zeros.
+    """
+    sin_theta = math.hypot(per.b, per.c, per.d)
+    ang = math.atan2(sin_theta, abs(per.a))
+    cos_n = np.cos(ns * ang)
+    ratio = np.sin(ns * ang) / (sin_theta or 1.0)
+    if per.a >= 0.0:
+        return cos_n, ratio
     parity = 1.0 - 2.0 * np.mod(ns, 2.0)
-    return parity * np.cos(ns * ang), -parity * np.sin(ns * ang) / math.sin(ang)
+    return parity * cos_n, -parity * ratio
 
 
 def _split_time(t, period):
-    # decompose t = n*T + t' with 0 <= t' < T; a t' within one ulp of T is
-    # promoted to the next period boundary
-    n = int(math.floor(t / period))
+    # decompose t = n*T + t' with 0 <= t' < T, for a float or an array t;
+    # n comes back as a float.  A t' within one ulp of T is promoted to the
+    # next period boundary.
+    n = np.floor(t / period)
+    n -= t - n * period < 0.0  # floor rounding at exact multiples
     tprime = t - n * period
-    if tprime < 0.0:  # floor rounding at exact multiples
-        n -= 1
-        tprime = t - n * period
-    if period - tprime <= math.ulp(period):
-        n += 1
-        tprime = 0.0
-    return n, tprime
+    wrap = period - tprime <= math.ulp(period)
+    return n + wrap, np.where(wrap, 0.0, tprime)
+
+
+def _window_starts(sequence):
+    """U(t_n) at the start of every step, and U(T), composed step by step."""
+    starts = []
+    prefix = PropagatorCoeffs.identity()
+    for step in sequence.steps:
+        starts.append(prefix)
+        prefix = compose(prefix, step, step.tau)
+    return starts, prefix
 
 
 def evolve(sequence, t):
@@ -222,12 +206,12 @@ def evolve(sequence, t):
     if t < 0.0:
         raise ValueError("time must be non-negative, got %r" % (t,))
     n, tprime = _split_time(t, sequence.period)
-    inner = intra_period(sequence, tprime)
+    inner = intra_period(sequence, float(tprime))
     if n == 0:
         return inner
     per = period_propagator(sequence)
-    cos_n, ratio = _power_factors(per.a, n)
-    return _combine(inner, per, cos_n, ratio)
+    cos_n, ratio = _power_factors(per, n)
+    return _combine(inner, per, float(cos_n), float(ratio))
 
 
 def transition_probability(sequence, t):
@@ -260,14 +244,10 @@ def evolve_many(sequence, times):
         raise ValueError("times must be non-negative")
     ts = times.ravel()
     # prefix propagators at the segment starts are scalars, shared by all blocks
-    starts = []
-    prefix = PropagatorCoeffs.identity()
-    for step in sequence.steps:
-        starts.append(prefix)
-        prefix = compose(prefix, step, step.tau)
+    starts, per = _window_starts(sequence)
     out = np.empty((4, ts.size))
     for lo in range(0, ts.size, _BLOCK):
-        block = _evolve_block(sequence, starts, prefix, ts[lo:lo + _BLOCK])
+        block = _evolve_block(sequence, starts, per, ts[lo:lo + _BLOCK])
         for row, coeff in zip(out, block):
             row[lo:lo + _BLOCK] = coeff
     return tuple(row.reshape(times.shape) for row in out)
@@ -276,18 +256,8 @@ def evolve_many(sequence, times):
 def _evolve_block(sequence, starts, per, ts):
     """(a, b, c, d) on a flat block of times, from the segment-start
     propagators ``starts`` and the period propagator ``per``."""
-    period = sequence.period
     bounds = sequence.boundaries
-
-    n_per = np.floor(ts / period)
-    tp = ts - n_per * period
-    neg = tp < 0.0
-    if neg.any():
-        n_per[neg] -= 1.0
-        tp[neg] = ts[neg] - n_per[neg] * period
-    wrap = period - tp <= math.ulp(period)
-    n_per[wrap] += 1.0
-    tp[wrap] = 0.0
+    n_per, tp = _split_time(ts, sequence.period)
 
     # intra-period part: the partial rotation inside the containing
     # segment is vectorized
@@ -306,7 +276,7 @@ def _evolve_block(sequence, starts, per, ts):
             )
 
     # whole-period part: per-time power factors, reflected when a(T) < 0
-    cos_n, ratio = _power_factors_array(per.a, n_per)
+    cos_n, ratio = _power_factors(per, n_per)
     return _combine((a, b, c, d), per, cos_n, ratio)
 
 

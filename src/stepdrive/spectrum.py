@@ -29,12 +29,11 @@ import numpy as np
 
 from .core import (
     DegenerateFrequencyWarning,
-    PropagatorCoeffs,
     SpectralComponent,
     SpectralModel,
 )
 from .effective import effective_hamiltonian
-from .propagator import _combine, compose, rotate, transition_probabilities
+from .propagator import _combine, _window_starts, rotate, transition_probabilities
 
 # denominators |probe +/- 2 E_n| below this are treated as exactly resonant
 _DEGENERATE_TOL = 1e-10
@@ -109,7 +108,9 @@ def _assemble_components(raw, omega_t, cap, dedup_tol):
     projection window, so each already carries the full merged line;
     keeping more than one would double-count it.  The first probe of such
     a cluster is kept, the rest are dropped (never summed).  Lines above
-    the cap or at zero frequency are discarded.
+    the cap are discarded, and so are lines closer to zero frequency than
+    dedup_tol: the window cannot tell them from the constant, so the
+    offset already carries them.
     """
     dedup_tol = max(dedup_tol, _FOLD_TOL * omega_t)
     comps = []
@@ -117,7 +118,7 @@ def _assemble_components(raw, omega_t, cap, dedup_tol):
     for family, l, freq, z in raw:
         if freq < 0.0:
             freq, z = -freq, z.conjugate()
-        if freq < _FOLD_TOL * omega_t or freq > cap * (1.0 + 1e-12):
+        if freq < dedup_tol or freq > cap * (1.0 + 1e-12):
             continue
         if any(abs(freq - other) < dedup_tol for other in kept):
             continue
@@ -147,20 +148,15 @@ def _line_table(sequence):
     (ndarray, float)
         Tables of shape (N, 3, 3) and Theta in [0, pi].
     """
-    starts = []
-    prefix = PropagatorCoeffs.identity()
-    for step in sequence.steps:
-        starts.append((prefix, rotate(prefix, 0.0, 1.0, step.axis)))
-        prefix = compose(prefix, step, step.tau)
-    per = prefix
+    starts, per = _window_starts(sequence)
     sin_theta = math.hypot(per.b, per.c, per.d)
     theta = math.atan2(sin_theta, per.a) if sin_theta > 0.0 else 0.0
     # (c, d) of X, X G, Y, Y G for every window; _combine(X, U(T), 0, r)
     # is r * X (U(T) - a), so a null rotation takes r = 0 and no G part
     ratio = 1.0 / sin_theta if sin_theta > 0.0 else 0.0
     rows = []
-    for pair in starts:
-        for left in pair:
+    for prefix, step in zip(starts, sequence.steps):
+        for left in (prefix, rotate(prefix, 0.0, 1.0, step.axis)):
             turned = _combine(left, per, 0.0, ratio)
             rows += [(left[2], left[3]), (turned.c, turned.d)]
     m = np.array(rows).reshape(len(starts), 2, 2, 2).transpose(0, 3, 1, 2)

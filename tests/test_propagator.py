@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from stepdrive import (
     DriveStep,
+    PropagatorCoeffs,
     PulseSequence,
     compose,
     evolve,
@@ -173,19 +174,65 @@ def test_power_identity_reflected_branch_matches_oracle():
 
 
 def test_power_factors_near_degenerate_limits():
-    # Theta -> 0: cos(n Theta) -> 1, ratio -> n
-    assert _power_factors(1.0, 7) == (1.0, 7.0)
-    # Theta -> pi: alternating signs, ratio -> n*(-1)**(n-1)
-    assert _power_factors(-1.0, 7) == (-1.0, 7.0)
-    assert _power_factors(-1.0, 8) == (1.0, -8.0)
-    # interior values agree with the direct trigonometric form
+    # interior values agree with the direct trigonometric form, for a float
+    # and for an array of period counts
     a = 0.3
     ang = math.acos(a)
-    cn, ratio = _power_factors(a, 5)
+    per = PropagatorCoeffs(a, 0.0, math.sqrt(1.0 - a * a), 0.0)
+    cn, ratio = _power_factors(per, 5.0)
     assert cn == pytest.approx(math.cos(5 * ang), abs=1e-15)
     assert ratio == pytest.approx(math.sin(5 * ang) / math.sin(ang), rel=1e-15)
-    cn, ratio = _power_factors(-a, 5)
+    cns, ratios = _power_factors(per, np.array([0.0, 5.0]))
+    assert tuple(cns) == (1.0, cn) and tuple(ratios) == (0.0, ratio)
+    cn, ratio = _power_factors(per._replace(a=-a), 5.0)
     assert cn == pytest.approx(math.cos(5 * math.acos(-a)), abs=1e-14)
+    # Theta = 1e-9 and pi - 1e-9 keep full relative precision: no limit is
+    # substituted, and the reflected branch alternates signs
+    x = 1e-9
+    near = PropagatorCoeffs(math.cos(x), 0.0, 0.0, math.sin(x))
+    cn, ratio = _power_factors(near, 7.0)
+    assert cn == pytest.approx(math.cos(7 * x), rel=1e-15)
+    assert ratio == pytest.approx(math.sin(7 * x) / math.sin(x), rel=1e-15)
+    cn, ratio = _power_factors(near._replace(a=-near.a), 7.0)
+    assert cn == pytest.approx(-math.cos(7 * x), rel=1e-15)
+    assert ratio == pytest.approx(math.sin(7 * x) / math.sin(x), rel=1e-15)
+    cn, ratio = _power_factors(near._replace(a=-near.a), 8.0)
+    assert cn == pytest.approx(math.cos(8 * x), rel=1e-15)
+    assert ratio == pytest.approx(-math.sin(8 * x) / math.sin(x), rel=1e-15)
+    # U(T) = +/-1: cos(n*Theta) = (+/-1)**n and the ratio is 0
+    assert _power_factors(PropagatorCoeffs(1.0, 0.0, 0.0, 0.0), 7.0) == (1.0, 0.0)
+    assert _power_factors(PropagatorCoeffs(-1.0, 0.0, 0.0, 0.0), 7.0) == (-1.0, 0.0)
+    assert _power_factors(PropagatorCoeffs(-1.0, 0.0, 0.0, 0.0), 8.0) == (1.0, 0.0)
+
+
+@seed(5)
+@settings(deadline=None, max_examples=60)
+@given(
+    turns=st.integers(0, 3),
+    log_eta=st.floats(-10.0, -6.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    n=st.integers(1, 10**7),
+    null=st.sampled_from(["none", "after", "only"]),
+)
+def test_power_identity_next_to_plus_minus_identity(turns, log_eta, sign, n, null):
+    # one step of area turns*pi + eta leaves U(T) within eta of +/-1; a null
+    # step (E = 0) leaves it unchanged, and a null drive makes it exactly 1
+    step = DriveStep(0.8, 0.6, 0.3, 1.0)
+    area = abs(turns * math.pi + sign * 10.0**log_eta)
+    step = step._replace(tau=area / step.energy)
+    null_step = DriveStep(0.0, 0.0, 0.0, 0.37)
+    steps = {"none": (step,), "after": (step, null_step), "only": (null_step,)}[null]
+    seq = PulseSequence(steps)
+    t = n * seq.period
+    times = np.array([np.nextafter(t, 0.0), t, np.nextafter(t, np.inf)])
+    arrays = np.array(evolve_many(seq, times))
+    for i, ti in enumerate(times):
+        got = evolve(seq, float(ti))
+        assert got.unitarity_defect <= 1e-12
+        assert np.max(np.abs(np.array(got) - arrays[:, i])) <= 1e-12
+    want = np.linalg.matrix_power(period_propagator(seq).as_matrix(), n)
+    got = evolve(seq, t).as_matrix()
+    assert np.max(np.abs(got - want)) <= 1e-12 + 2e-15 * n
 
 
 def test_identity_period_stays_identity_at_all_times():
@@ -225,6 +272,7 @@ def test_evolve_many_matches_scalar_evolve():
         arrays = evolve_many(seq, times)
         for i, t in enumerate(times):
             single = evolve(seq, float(t))
+            assert all(type(x) is float for x in single)
             got = tuple(x[i] for x in arrays)
             assert got == pytest.approx(tuple(single), rel=1e-12, abs=1e-12)
 

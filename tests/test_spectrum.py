@@ -192,6 +192,27 @@ def test_unresolved_lines_are_merged_not_double_counted():
     assert 0.60 < amps[0] < 0.63
     assert amps[1] == pytest.approx(0.1666, abs=2e-3)
     assert amps[2] == pytest.approx(0.0624, abs=2e-3)
+    # a line closer to zero frequency than the window resolves is part of
+    # the offset: two resonant steps of total area 2*pi - 1e-4 (exact line
+    # weight 0.125), and the slow one-step drive library_analysis/28 of
+    # bench seed 1, 2*E*tau = 0.0065 over a 256-period window
+    slow_pair = PulseSequence.from_arrays(
+        [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [math.pi - 5e-5, math.pi - 5e-5]
+    )
+    slow_step = PulseSequence.from_arrays(
+        [-0.01397412042195572], [0.04097946477348664], [2.87756804634639],
+        [0.0787674039145761],
+    )
+    for seq, K in ((slow_pair, None), (slow_pair, 1024), (slow_step, 256)):
+        if len(seq.steps) == 2:
+            # a sideband probe meets the window tone 2*E of a resonant step
+            with pytest.warns(DegenerateFrequencyWarning):
+                model = fourier_closed_form_two_step(seq, K=K)
+        else:
+            model = fourier_numeric(seq, K=K)
+        resolution = math.pi / ((K or 1024) * seq.period)
+        assert min(c.frequency for c in model.components) >= resolution
+        assert 0.5 * sum(c.amplitude**2 for c in model.components) <= 0.25 + 1e-9
 
 
 def test_full_model_stays_within_probability_bounds():
