@@ -234,8 +234,9 @@ class PropagatorCoeffs(namedtuple("PropagatorCoeffs", ["a", "b", "c", "d"])):
 
     @property
     def angle(self):
-        """Rotation angle arccos(a) in [0, pi], with a clamped to [-1, 1]."""
-        return math.acos(max(-1.0, min(1.0, self.a)))
+        """Rotation angle atan2(|(b, c, d)|, a) in [0, pi]; unlike arccos(a)
+        it keeps full relative precision next to a = +/-1."""
+        return math.atan2(math.hypot(self.b, self.c, self.d), self.a)
 
     def as_matrix(self):
         """The complex 2x2 matrix of these coefficients."""

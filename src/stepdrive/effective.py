@@ -27,7 +27,7 @@ from .propagator import intra_period, period_propagator
 # phi/sin(phi); below it the quotient is 1 to double precision.
 _NORM_FLOOR = 1e-8
 
-# arccos branch-cut guard: a propagator with a <= -1 + _BRANCH_TOL is a
+# logarithm branch-cut guard: a propagator with a <= -1 + _BRANCH_TOL is a
 # rotation by pi to within 1e-4 in angle and its axis sign is ambiguous.
 _BRANCH_TOL = 1e-8
 
@@ -36,9 +36,9 @@ def _log_params(coeffs):
     """Micromotion parameters of a single SU(2) element.
 
     Writes U = exp(-1j*M) with M traceless Hermitian and rotation angle
-    phi = atan2(|(b, c, d)|, a) in [0, pi).  Using the actual coefficient
-    norm rather than sqrt(1 - a**2) keeps the reconstruction exact even in
-    the presence of a small unitarity defect.
+    phi = ``coeffs.angle`` = atan2(|(b, c, d)|, a) in [0, pi).  Using the
+    actual coefficient norm rather than sqrt(1 - a**2) keeps the
+    reconstruction exact even in the presence of a small unitarity defect.
     """
     a, b, c, d = coeffs
     if a <= -1.0 + _BRANCH_TOL:
@@ -46,11 +46,8 @@ def _log_params(coeffs):
             "rotation angle at the pi branch cut (a = %r); "
             "the generator sign is undefined" % (a,)
         )
-    norm = math.sqrt(b * b + c * c + d * d)
-    if norm < _NORM_FLOOR:
-        ratio = 1.0
-    else:
-        ratio = math.atan2(norm, a) / norm
+    norm = math.hypot(b, c, d)
+    ratio = 1.0 if norm < _NORM_FLOOR else coeffs.angle / norm
     return MicromotionParams(
         2.0 * b * ratio, math.hypot(c, d) * ratio, math.atan2(c, d)
     )
@@ -74,12 +71,12 @@ def micromotion(sequence, tprime):
     Raises
     ------
     ValueError
-        If t' lies outside (0, T].
+        If t' lies outside (0, T] or is nan.
     BranchAmbiguityError
         If the intra-period propagator is a rotation by pi, where the
         generator is defined only up to a sign.
     """
-    if tprime <= 0.0 or tprime > sequence.period:
+    if not 0.0 < tprime <= sequence.period:
         raise ValueError(
             "micromotion time %r outside (0, %r]" % (tprime, sequence.period)
         )
@@ -93,12 +90,12 @@ def effective_hamiltonian(sequence, branch="principal"):
     ----------
     sequence : PulseSequence
     branch : {'principal', 'positive_a'}
-        'principal' takes the rotation angle Theta = arccos(a(T)) in
-        [0, pi] as is.  'positive_a' flips the sign of the whole
-        coefficient quadruple when a(T) < 0 before taking the logarithm;
-        the resulting generator reproduces the period propagator only up
-        to a global sign but keeps Theta in [0, pi/2], which is the
-        folding used by the spectral-line labels.
+        'principal' takes the rotation angle of U(T), Theta =
+        atan2(|(b, c, d)|, a) in [0, pi], as is.  'positive_a' flips the
+        sign of the whole coefficient quadruple when a(T) < 0 before
+        taking the logarithm; the resulting generator reproduces the
+        period propagator only up to a global sign but keeps Theta in
+        [0, pi/2], which is the folding used by the spectral-line labels.
 
     Returns
     -------

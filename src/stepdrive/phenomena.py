@@ -71,7 +71,7 @@ def classify(sequence, tol=1e-3, max_index=64):
     """Flag the dynamical phenomena of a periodic drive.
 
     The first four flags test the one-period propagator coefficients
-    (a, b, c, d) and the rotation angle Theta = arccos(a):
+    (a, b, c, d) and the rotation angle Theta = atan2(|(b, c, d)|, a):
 
     * cdt: sqrt(c**2 + d**2) < tol, the drive never moves population;
     * complete_transition: |b| < tol, some time reaches unit transfer;
@@ -394,9 +394,9 @@ def _bracket_residuals(sequence, field, grid):
     Returns the array of b(T) and the bound below which a value is to be
     recomputed on the scalar path.  The batched form of design_manipulation's scalar residual
     ``period_propagator(_with_field(sequence, field, x)).b``, in one numpy
-    pass: the varied step is not validated, its window is
-    (tau1 + tau2) - tau1 as intra_period forms it, and a null step
-    (E = 0) rotates about the zero axis.  Durations must be positive.
+    pass: the varied step is not validated, its phase is E*tau as
+    _window_starts composes it, and a null step (E = 0) rotates about the
+    zero axis.  Durations must be positive.
     """
     step1, step2 = sequence.steps
     values = step2._asdict()
@@ -407,7 +407,7 @@ def _bracket_residuals(sequence, field, grid):
     norm = np.where(energy == 0.0, 1.0, energy)
     axis = (eps * np.cos(theta) / norm, eps * np.sin(theta) / norm, 0.5 * delta / norm)
     first = compose(PropagatorCoeffs.identity(), step1, step1.tau)
-    phase = energy * ((step1.tau + tau) - step1.tau)
+    phase = energy * tau
     bound = _BRACKET_RECHECK * max(1.0, float(np.abs(phase).max()))
     return rotate(first, np.cos(phase), np.sin(phase), axis)[1], bound
 

@@ -92,8 +92,9 @@ def compose(left, step, s):
 def intra_period(sequence, tprime):
     """Propagator from the period start to 0 <= t' <= T.
 
-    Full segments before t' are folded in order; the segment containing t'
-    contributes a partial rotation.
+    At t' = T this is U(T) as :func:`_window_starts` composes it from the
+    step durations; below T it is the intra-period part of
+    :func:`evolve_many` on one time.
 
     Parameters
     ----------
@@ -107,23 +108,18 @@ def intra_period(sequence, tprime):
     Raises
     ------
     ValueError
-        If t' lies outside [0, T].
+        If t' lies outside [0, T] or is nan.
     """
     period = sequence.period
-    if tprime < 0.0 or tprime > period:
+    if not 0.0 <= tprime <= period:
         raise ValueError(
             "intra-period time %r outside [0, %r]" % (tprime, period)
         )
-    # running boundaries, summed in the order of PulseSequence.boundaries
-    coeffs = PropagatorCoeffs.identity()
-    t0 = 0.0
-    for step in sequence.steps:
-        if tprime <= t0:
-            break
-        t1 = t0 + step.tau
-        coeffs = compose(coeffs, step, min(tprime, t1) - t0)
-        t0 = t1
-    return coeffs
+    starts, per = _window_starts(sequence)
+    if tprime == period:
+        return per
+    inner = _intra_block(sequence, starts, np.array([float(tprime)]))
+    return PropagatorCoeffs(*(float(x[0]) for x in inner))
 
 
 def period_propagator(sequence):
@@ -190,9 +186,8 @@ def _window_starts(sequence):
 def evolve(sequence, t):
     """Propagator coefficients at an arbitrary time t >= 0.
 
-    Splits t into full periods plus an intra-period remainder and combines
-    the two propagators through the power identity; the cost does not grow
-    with the number of elapsed periods.
+    The scalar form of :func:`evolve_many`: the same operations on one
+    time, returned as Python floats.
 
     Parameters
     ----------
@@ -203,15 +198,7 @@ def evolve(sequence, t):
     -------
     PropagatorCoeffs
     """
-    if t < 0.0:
-        raise ValueError("time must be non-negative, got %r" % (t,))
-    n, tprime = _split_time(t, sequence.period)
-    inner = intra_period(sequence, float(tprime))
-    if n == 0:
-        return inner
-    per = period_propagator(sequence)
-    cos_n, ratio = _power_factors(per, n)
-    return _combine(inner, per, float(cos_n), float(ratio))
+    return PropagatorCoeffs(*(float(x) for x in evolve_many(sequence, t)))
 
 
 def transition_probability(sequence, t):
@@ -222,45 +209,50 @@ def transition_probability(sequence, t):
 def evolve_many(sequence, times):
     """Propagator coefficients on an array of times.
 
-    Vectorized equivalent of :func:`evolve`: returns four arrays
-    (a, b, c, d) with the shape of ``times``.  Times are grouped by the
-    segment their intra-period remainder falls in, so the cost is O(N +
-    len(times)).  Long arrays are processed in blocks of _BLOCK times, so
-    the temporaries stay small and the allocator reuses them instead of
-    mapping fresh pages on every call.
+    Returns four arrays (a, b, c, d) with the shape of ``times``.  Each
+    time t = n*T + t' gets U(t') combined with U(T)**n through the power
+    identity, so the cost is O(N + len(times)) whatever the period count.
+    Long arrays are processed in blocks of _BLOCK times, so the
+    temporaries stay small and the allocator reuses them instead of
+    mapping fresh pages on every call.  :func:`evolve` is the scalar form.
 
     Parameters
     ----------
     sequence : PulseSequence
     times : array_like
-        Non-negative times, any shape.
+        Finite non-negative times, any shape.
 
     Returns
     -------
     tuple of ndarray
+
+    Raises
+    ------
+    ValueError
+        If a time is negative, infinite or nan.
     """
     times = np.asarray(times, dtype=float)
-    if times.size and times.min() < 0.0:
-        raise ValueError("times must be non-negative")
+    # a nan minimum fails the first comparison
+    if times.size and not (0.0 <= times.min() and times.max() < math.inf):
+        raise ValueError("times must be finite and non-negative")
     ts = times.ravel()
     # prefix propagators at the segment starts are scalars, shared by all blocks
     starts, per = _window_starts(sequence)
     out = np.empty((4, ts.size))
     for lo in range(0, ts.size, _BLOCK):
-        block = _evolve_block(sequence, starts, per, ts[lo:lo + _BLOCK])
+        n_per, tp = _split_time(ts[lo:lo + _BLOCK], sequence.period)
+        cos_n, ratio = _power_factors(per, n_per)
+        block = _combine(_intra_block(sequence, starts, tp), per, cos_n, ratio)
         for row, coeff in zip(out, block):
             row[lo:lo + _BLOCK] = coeff
     return tuple(row.reshape(times.shape) for row in out)
 
 
-def _evolve_block(sequence, starts, per, ts):
-    """(a, b, c, d) on a flat block of times, from the segment-start
-    propagators ``starts`` and the period propagator ``per``."""
+def _intra_block(sequence, starts, tp):
+    """(a, b, c, d) of U(t') on a flat array of times 0 <= t' < T, from the
+    segment-start propagators ``starts``; the partial rotation inside the
+    containing segment is vectorized."""
     bounds = sequence.boundaries
-    n_per, tp = _split_time(ts, sequence.period)
-
-    # intra-period part: the partial rotation inside the containing
-    # segment is vectorized
     a = np.empty_like(tp)
     b = np.empty_like(tp)
     c = np.empty_like(tp)
@@ -274,10 +266,7 @@ def _evolve_block(sequence, starts, per, ts):
             a[sel], b[sel], c[sel], d[sel] = rotate(
                 prefix, np.cos(phase), np.sin(phase), step.axis
             )
-
-    # whole-period part: per-time power factors, reflected when a(T) < 0
-    cos_n, ratio = _power_factors(per, n_per)
-    return _combine((a, b, c, d), per, cos_n, ratio)
+    return a, b, c, d
 
 
 def transition_probabilities(sequence, times):

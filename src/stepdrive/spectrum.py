@@ -150,7 +150,7 @@ def _line_table(sequence):
     """
     starts, per = _window_starts(sequence)
     sin_theta = math.hypot(per.b, per.c, per.d)
-    theta = math.atan2(sin_theta, per.a) if sin_theta > 0.0 else 0.0
+    theta = per.angle if sin_theta > 0.0 else 0.0
     # (c, d) of X, X G, Y, Y G for every window; _combine(X, U(T), 0, r)
     # is r * X (U(T) - a), so a null rotation takes r = 0 and no G part
     ratio = 1.0 / sin_theta if sin_theta > 0.0 else 0.0

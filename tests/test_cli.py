@@ -129,6 +129,15 @@ def test_propagate_rejects_bad_time_grids(tmp_path, capsys):
     assert "at least one point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["0:inf:3", "nan:1:2"])
+def test_propagate_rejects_non_finite_time_grids(tmp_path, capsys, grid):
+    path = write_config(tmp_path, PAIR_CONFIG)
+    assert cli.main(["propagate", path, "--tgrid", grid]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "finite" in err
+
+
 def test_grids_above_the_point_limit_exit_1_before_allocating(
     tmp_path, capsys, monkeypatch
 ):

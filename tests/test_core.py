@@ -170,6 +170,14 @@ def test_propagator_coeffs_identity_and_matrix_round_trip():
     assert coeffs.angle == pytest.approx(math.acos(0.5))
 
 
+@pytest.mark.parametrize("x", [1e-9, math.pi - 1e-9])
+def test_angle_keeps_relative_precision_next_to_plus_minus_identity(x):
+    # arccos(cos x) would give 0 at x = 1e-9 and lose half the digits of
+    # pi - x; the angle is read from the whole quadruple instead
+    coeffs = PropagatorCoeffs(math.cos(x), 0.0, 0.0, math.sin(x))
+    assert coeffs.angle == pytest.approx(x, rel=1e-15, abs=0.0)
+
+
 def test_effective_hamiltonian_derived_frequencies():
     h = EffectiveHamiltonian(6.0, 4.0, 0.3, 2.0)
     assert h.omega_eff == math.hypot(4.0, 3.0)

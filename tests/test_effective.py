@@ -122,6 +122,8 @@ def test_micromotion_rejects_times_outside_period():
         micromotion(seq, 0.0)
     with pytest.raises(ValueError, match="outside"):
         micromotion(seq, seq.period * 1.001)
+    with pytest.raises(ValueError, match="outside"):
+        micromotion(seq, math.nan)
 
 
 def test_branch_cut_raises_ambiguity_error():

@@ -69,6 +69,15 @@ def test_eighth_cycle_step_indices():
     assert coeffs.transition_probability < 1e-24
 
 
+def test_periodic_residual_of_a_tiny_rotation():
+    # one resonant step of area 1e-9: Theta = 1e-9, which arccos(a(T))
+    # rounds to 0
+    seq = PulseSequence.from_arrays([0.0], [1.0], [0.0], [1e-9])
+    report = classify(seq)
+    assert report.periodic.active and report.periodic.index == 1
+    assert report.periodic.residual == pytest.approx(1e-9, rel=1e-12)
+
+
 def test_periodic_search_respects_max_index():
     seq = PulseSequence.from_arrays([0.0], [1.0], [0.0], [0.25 * math.pi])
     report = classify(seq, max_index=4)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -21,7 +22,7 @@ from stepdrive import (
     transition_probability,
 )
 from stepdrive.oracle import brute_force_evolve
-from stepdrive.propagator import _BLOCK, _power_factors, _split_time
+from stepdrive.propagator import _BLOCK, _power_factors, _split_time, _window_starts
 
 from helpers import coeffs_from_unitary, detuned_pair, random_sequence
 
@@ -138,6 +139,8 @@ def test_intra_period_rejects_times_outside_period():
         intra_period(seq, -0.1)
     with pytest.raises(ValueError, match="outside"):
         intra_period(seq, seq.period * 1.0001)
+    with pytest.raises(ValueError, match="outside"):
+        intra_period(seq, math.nan)
 
 
 def test_evolve_rejects_negative_times():
@@ -146,6 +149,15 @@ def test_evolve_rejects_negative_times():
         evolve(seq, -1e-9)
     with pytest.raises(ValueError, match="non-negative"):
         evolve_many(seq, [0.0, -1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_evolve_rejects_non_finite_times(bad):
+    seq = detuned_pair()
+    with pytest.raises(ValueError, match="finite"):
+        evolve(seq, bad)
+    with pytest.raises(ValueError, match="finite"):
+        evolve_many(seq, [0.0, bad, 1.0])
 
 
 def test_group_property_over_many_periods():
@@ -265,16 +277,63 @@ def test_split_time_promotes_ulp_remainders():
 
 
 def test_evolve_many_matches_scalar_evolve():
-    # the one-step drive puts every time in the same segment
+    # the one-step drive puts every time in the same segment; the random
+    # drives reach 1e6 periods, where a second rounding of U(T) would show
     one_step = PulseSequence.from_arrays([0.7], [1.3], [0.4], [0.9])
-    for seq in (five_step_sequence(), one_step):
-        times = np.array([0.0, 0.3, 1.7, 5.0, 42.42, 1234.5]) * seq.period / 5.0
+    rng = np.random.default_rng(17)
+    drives = [(five_step_sequence(), 246.9), (one_step, 246.9)]
+    drives += [(random_sequence(rng), rng.uniform(0.0, 1e6)) for _ in range(200)]
+    for seq, periods in drives:
+        times = np.array([0.0, 0.06, 0.34, 1.0, 8.484, periods]) * seq.period
         arrays = evolve_many(seq, times)
         for i, t in enumerate(times):
             single = evolve(seq, float(t))
             assert all(type(x) is float for x in single)
-            got = tuple(x[i] for x in arrays)
-            assert got == pytest.approx(tuple(single), rel=1e-12, abs=1e-12)
+            assert tuple(single) == tuple(x[i] for x in arrays)
+
+
+def test_period_propagator_is_the_composed_window_product():
+    # one U(T) for every caller: intra_period(T) returns the product that
+    # evolve_many and the line tables compose from the step durations
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        seq = random_sequence(rng)
+        assert tuple(period_propagator(seq)) == tuple(_window_starts(seq)[1])
+
+
+def _mp_period_propagator(seq):
+    # 40-digit composition of the float step fields, same recursion order
+    one = mpmath.mpf(1)
+    a, b, c, d = one, 0 * one, 0 * one, 0 * one
+    for step in seq.steps:
+        delta, eps, theta, tau = (mpmath.mpf(x) for x in step)
+        energy = mpmath.sqrt(eps**2 + delta**2 / 4)
+        ax = eps * mpmath.cos(theta) / energy
+        ay = eps * mpmath.sin(theta) / energy
+        az = delta / 2 / energy
+        cn, sn = mpmath.cos(energy * tau), mpmath.sin(energy * tau)
+        a, b, c, d = (
+            a * cn - (d * ax + c * ay + b * az) * sn,
+            b * cn + (c * ax - d * ay + a * az) * sn,
+            c * cn + (-b * ax + a * ay + d * az) * sn,
+            d * cn + (a * ax + b * ay - c * az) * sn,
+        )
+    return a, b, c, d
+
+
+def test_period_propagator_matches_mpmath():
+    # each step contributes a few roundings of order one plus the rounding
+    # of its phase E*tau; a duration taken as a difference of running
+    # boundaries t1 - t0 would add about eps * t0 * E, which this bound
+    # does not allow
+    rng = np.random.default_rng(29)
+    with mpmath.workdps(40):
+        for _ in range(200):
+            seq = random_sequence(rng)
+            bound = 2.0 * 2.2e-16 * sum(1.0 + s.energy * s.tau for s in seq.steps)
+            want = _mp_period_propagator(seq)
+            for got, exact in zip(period_propagator(seq), want):
+                assert abs(float(mpmath.mpf(got) - exact)) <= bound
 
 
 def test_evolve_many_blocks_give_the_same_bits():
