@@ -47,6 +47,9 @@ _MAX_JOBS = 64
 # that a mistyped count fails at once instead of exhausting memory
 _MAX_POINTS = 1_000_000
 
+# rows formatted per write, so a long grid never holds all its row strings
+_ROW_BLOCK = 8192
+
 
 class ConfigError(ValueError):
     """Config file rejected; str() carries file name and line number."""
@@ -151,15 +154,26 @@ def _g17(x):
     return "%.17g" % (x,)
 
 
+def _write_rows(header, columns):
+    """Write a CSV header line, then one row of %.17g values per index.
+
+    `columns` holds equal-length 1-D float arrays, one per header field.
+    """
+    out = sys.stdout
+    out.write(header + "\n")
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    for lo in range(0, len(columns[0]), _ROW_BLOCK):
+        block = [col[lo:lo + _ROW_BLOCK].tolist() for col in columns]
+        out.writelines([row_format % row for row in zip(*block)])
+
+
 def cmd_propagate(args):
     sequence = _apply_jump(read_config(args.config), args)
     times = np.linspace(*_parse_grid(args.tgrid, "--tgrid"))
     if times.min() < 0.0:
         raise ValueError("--tgrid times must be non-negative")
     a, b, c, d = evolve_many(sequence, times)
-    print("t,P12,A,B,C,D")
-    for row in zip(times, c * c + d * d, a, b, c, d):
-        print(",".join(_g17(x) for x in row))
+    _write_rows("t,P12,A,B,C,D", (times, c * c + d * d, a, b, c, d))
     return 0
 
 
@@ -267,6 +281,8 @@ def cmd_scan(args):
     if not 1 <= len(args.vary) <= 2:
         raise ValueError("--vary must be given once or twice")
     axes = [_parse_vary(v) for v in args.vary]
+    if len(axes) == 2 and axes[0][:2] == axes[1][:2]:
+        raise ValueError("--vary field %s%d given twice" % axes[0][:2])
     n_steps = len(sequence.steps)
     for name, index, _ in axes:
         if not 1 <= index <= n_steps:
@@ -308,9 +324,8 @@ def cmd_scan(args):
     results.sort(key=lambda r: r[0])
 
     field_names = ["%s%d" % (n, i) for n, i in zip(names, indices)]
-    print(",".join(field_names + [args.metric]))
-    for _, values, result in results:
-        print(",".join(_g17(v) for v in values) + "," + _g17(result))
+    table = np.array([values + (result,) for _, values, result in results])
+    _write_rows(",".join(field_names + [args.metric]), table.T)
     return 0
 
 
@@ -333,9 +348,7 @@ def cmd_beat(args):
     envelope = 0.5 * (1.0 + np.abs(np.cos(
         prediction.omega_b * (times - prediction.t_p)
     )))
-    print("t,envelope")
-    for t, e in zip(times, envelope):
-        print("%s,%s" % (_g17(t), _g17(e)))
+    _write_rows("t,envelope", (times, envelope))
     return 0
 
 

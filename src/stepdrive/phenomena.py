@@ -14,7 +14,6 @@ import math
 from collections import namedtuple
 
 import numpy as np
-import scipy.optimize
 
 from .core import BeatPrediction, DriveStep, PropagatorCoeffs, PulseSequence, validate
 from .effective import effective_hamiltonian
@@ -190,7 +189,8 @@ def beat_prediction(sequence, resonant_tol=0.01):
     entirely and the rules apply to the remaining steps.
 
     The time shift t_p is fitted by least squares against the exact signal
-    over min(4*pi/omega_b, 400 T).
+    over min(4*pi/omega_b, 400 T).  The fit uses scipy.optimize, which
+    the first call imports.
 
     Parameters
     ----------
@@ -304,6 +304,8 @@ def _fit_time_shift(sequence, varpi, varpi_prime, omega_b):
     best = int(np.argmin(costs))
     lo = shifts[max(best - 1, 0)]
     hi = shifts[min(best + 1, count - 1)]
+    import scipy.optimize
+
     res = scipy.optimize.minimize_scalar(misfit, bounds=(lo, hi), method="bounded")
     return float(res.x)
 
@@ -428,7 +430,8 @@ def design_manipulation(sequence, target, free_parameter):
     points with |b| below 1e-9 (times the largest step phase E*tau when
     that exceeds 1) are recomputed on the scalar path before their sign
     is read, and brentq refines the root on the scalar path, so the
-    result is the one a point-by-point scalar search gives.
+    result is the one a point-by-point scalar search gives.  The first
+    root search imports scipy.optimize.
 
     Parameters
     ----------
@@ -505,6 +508,8 @@ def design_manipulation(sequence, target, free_parameter):
                 "no sign change of the target residual in the search bracket"
             )
         i = flips[0]
+        import scipy.optimize
+
         root = scipy.optimize.brentq(residual, grid[i], grid[i + 1], xtol=1e-14)
         return validate(_with_field(sequence, free_parameter, root))
 

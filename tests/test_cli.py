@@ -1,6 +1,11 @@
 """Config parsing, CLI subcommands, output formats, and exit codes."""
 
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,12 +103,16 @@ def test_propagate_starts_from_the_identity(tmp_path, capsys):
 def test_propagate_matches_the_library(tmp_path, capsys):
     path = write_config(tmp_path, PAIR_CONFIG)
     seq = cli.read_config(path)
-    times = np.linspace(0.0, 5.0, 7)
-    assert cli.main(["propagate", path, "--tgrid", "0:5:7"]) == 0
-    lines = capsys.readouterr().out.splitlines()[1:]
-    a, b, c, d = evolve_many(seq, times)
-    for line, row in zip(lines, zip(times, c * c + d * d, a, b, c, d)):
-        assert line == ",".join("%.17g" % x for x in row)
+    # the long grid spans two full row blocks of the writer and part of a third
+    for num in (7, 2 * cli._ROW_BLOCK + 3):
+        times = np.linspace(0.0, 5.0, num)
+        assert cli.main(["propagate", path, "--tgrid", "0:5:%d" % num]) == 0
+        a, b, c, d = evolve_many(seq, times)
+        expected = ["t,P12,A,B,C,D"] + [
+            ",".join("%.17g" % x for x in row)
+            for row in zip(times, c * c + d * d, a, b, c, d)
+        ]
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
 def test_propagate_applies_the_jump(tmp_path, capsys):
@@ -411,6 +420,13 @@ def test_scan_rejects_bad_axes(tmp_path, capsys):
     ) == 1
     assert "once or twice" in capsys.readouterr().err
     assert cli.main(
+        ["scan", path, "--vary", "delta2=0:1:2", "--vary", "delta2=5:6:2",
+         "--metric", "omega_eff"]
+    ) == 1
+    captured = capsys.readouterr()
+    assert "delta2 given twice" in captured.err
+    assert captured.out == ""
+    assert cli.main(
         ["scan", path, "--vary", "delta2=0:1:2", "--resolve-tau", "1"]
     ) == 1
     assert "only step 2" in capsys.readouterr().err
@@ -455,3 +471,39 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["propagate", path, "--tgrid", "0:1:2", "--jump-lambda", "1.5"]
     ) == 1
     assert "must lie in [0, 1]" in capsys.readouterr().err
+
+
+# Runs in a fresh interpreter: reports the scipy modules loaded after the
+# import and after each request, with the exit codes.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import stepdrive.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+path = sys.argv[1]
+report = {"import": scipy_modules()}
+with contextlib.redirect_stdout(io.StringIO()):
+    for name, argv in (("heff", ["heff", path]),
+                       ("propagate", ["propagate", path, "--tgrid", "0:1:3"])):
+        report[name] = [cli.main(argv), scipy_modules()]
+    report["beat"] = [cli.main(["beat", path]), "scipy.optimize" in sys.modules]
+print(json.dumps(report))
+"""
+
+
+def test_scipy_stays_unloaded_until_beat(tmp_path):
+    path = write_config(tmp_path, PAIR_CONFIG)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, path],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(proc.stdout) == {
+        "import": [],
+        "heff": [0, []],
+        "propagate": [0, []],
+        "beat": [0, True],
+    }
