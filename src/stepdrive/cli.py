@@ -18,6 +18,7 @@ branch-ambiguous effective Hamiltonian.
 
 import argparse
 import concurrent.futures
+import itertools
 import math
 import os
 import sys
@@ -27,9 +28,9 @@ import numpy as np
 from .core import PulseSequence
 from .effective import effective_hamiltonian, effective_with_jump, jump_sequence
 from .phenomena import beat_prediction, classify, design_manipulation
-from .propagator import evolve_many, transition_probabilities
+from .propagator import evolve_many
 from .spectrum import (
-    _aligned_times,
+    _aligned_signal,
     dominant_model,
     fourier_closed_form_two_step,
     fourier_numeric,
@@ -113,9 +114,7 @@ def read_config(path):
             "arrays must have equal lengths, got %s"
             % (", ".join("%s=%d" % kv for kv in sorted(lengths.items()))),
         )
-    return PulseSequence.from_arrays(
-        arrays["delta"], arrays["epsilon"], arrays["theta"], arrays["tau"]
-    )
+    return PulseSequence.from_arrays(*(arrays[key] for key in _CONFIG_KEYS))
 
 
 def _parse_grid(text, what):
@@ -245,14 +244,12 @@ def _parse_vary(text):
 
 def _scan_cell(payload):
     """Evaluate one scan cell; top level so process pools can pickle it."""
-    (flat_index, arrays, names, indices, values, metric, resolve_tau) = payload
+    (flat_index, arrays, fields, values, metric, resolve_tau) = payload
     arrays = {k: list(v) for k, v in arrays.items()}
-    for (name, index), value in zip(zip(names, indices), values):
+    for (name, index), value in zip(fields, values):
         arrays[name][index - 1] = value
     try:
-        sequence = PulseSequence.from_arrays(
-            arrays["delta"], arrays["epsilon"], arrays["theta"], arrays["tau"]
-        )
+        sequence = PulseSequence.from_arrays(*(arrays[key] for key in _CONFIG_KEYS))
         if resolve_tau is not None:
             sequence = design_manipulation(
                 sequence, "complete_transition", "durations"
@@ -260,8 +257,7 @@ def _scan_cell(payload):
         if metric == "omega_eff":
             result = effective_hamiltonian(sequence, branch="positive_a").omega_eff
         elif metric == "P12max":
-            times = _aligned_times(sequence, 40.0 * sequence.period, 64)
-            result = float(transition_probabilities(sequence, times).max())
+            result = float(_aligned_signal(sequence, 40.0 * sequence.period, 64)[1].max())
         else:
             model = two_step_empirical_model(sequence)
             result = model_error(sequence, model).value
@@ -272,12 +268,7 @@ def _scan_cell(payload):
 
 def cmd_scan(args):
     sequence = read_config(args.config)
-    arrays = {
-        "delta": [s.delta for s in sequence.steps],
-        "epsilon": [s.epsilon for s in sequence.steps],
-        "theta": [s.theta for s in sequence.steps],
-        "tau": [s.tau for s in sequence.steps],
-    }
+    arrays = {key: [getattr(s, key) for s in sequence.steps] for key in _CONFIG_KEYS}
     if not 1 <= len(args.vary) <= 2:
         raise ValueError("--vary must be given once or twice")
     axes = [_parse_vary(v) for v in args.vary]
@@ -297,21 +288,13 @@ def cmd_scan(args):
         raise ValueError("--jobs must lie in 1..%d, got %d" % (_MAX_JOBS, args.jobs))
     _check_points(math.prod(a[2][2] for a in axes), "the scan grid")
 
-    names = [a[0] for a in axes]
-    indices = [a[1] for a in axes]
-    grids = [np.linspace(*a[2]) for a in axes]
-    payloads = []
-    if len(axes) == 1:
-        for i, x in enumerate(grids[0]):
-            payloads.append((i, arrays, names, indices, (float(x),),
-                             args.metric, args.resolve_tau))
-    else:
-        cols = grids[1].size
-        for i, x in enumerate(grids[0]):
-            for j, y in enumerate(grids[1]):
-                payloads.append((i * cols + j, arrays, names, indices,
-                                 (float(x), float(y)), args.metric,
-                                 args.resolve_tau))
+    fields = [a[:2] for a in axes]
+    # row-major cells: the flat index runs fastest along the last axis
+    grids = [np.linspace(*a[2]).tolist() for a in axes]
+    payloads = [
+        (i, arrays, fields, values, args.metric, args.resolve_tau)
+        for i, values in enumerate(itertools.product(*grids))
+    ]
 
     workers = min(args.jobs, len(payloads))
     if workers > 1:
@@ -323,9 +306,8 @@ def cmd_scan(args):
         results = [_scan_cell(p) for p in payloads]
     results.sort(key=lambda r: r[0])
 
-    field_names = ["%s%d" % (n, i) for n, i in zip(names, indices)]
     table = np.array([values + (result,) for _, values, result in results])
-    _write_rows(",".join(field_names + [args.metric]), table.T)
+    _write_rows(",".join(["%s%d" % f for f in fields] + [args.metric]), table.T)
     return 0
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .core import BeatPrediction, DriveStep, PropagatorCoeffs, PulseSequence, validate
 from .effective import effective_hamiltonian
-from .propagator import compose, period_propagator, rotate, transition_probabilities
-from .spectrum import _aligned_times, fourier_numeric
+from .propagator import compose, period_propagator, rotate
+from .spectrum import _aligned_signal, fourier_numeric
 
 # dynamical-phase tolerance when recognizing quarter- and half-cycle pulses
 _AREA_TOL = 1e-6
@@ -189,8 +189,8 @@ def beat_prediction(sequence, resonant_tol=0.01):
     entirely and the rules apply to the remaining steps.
 
     The time shift t_p is fitted by least squares against the exact signal
-    over min(4*pi/omega_b, 400 T).  The fit uses scipy.optimize, which
-    the first call imports.
+    of the line tables over max(4*pi/omega_b, 10 T), at most 2000 T.  The
+    fit uses scipy.optimize, which the first call imports.
 
     Parameters
     ----------
@@ -262,28 +262,21 @@ def _fit_time_shift(sequence, varpi, varpi_prime, omega_b):
         horizon = min(max(4.0 * math.pi / omega_b, 10.0 * period), 2000.0 * period)
     else:
         horizon = 40.0 * period
-    times = _aligned_times(sequence, horizon, 16)
-    exact = transition_probabilities(sequence, times)
+    times, exact = _aligned_signal(sequence, horizon, 16)
+
+    def tones(t):
+        # cos/sin of both model tones at t, a float or an array
+        return np.stack([np.cos(2.0 * varpi * t), np.sin(2.0 * varpi * t),
+                         np.cos(2.0 * varpi_prime * t), np.sin(2.0 * varpi_prime * t)])
 
     # misfit(t_p) = sum_t (g - w.f/4)^2 with g = 1/2 - P12, f the four
     # tone waveforms, and w the t_p phase factors
-    basis = np.stack([
-        np.cos(2.0 * varpi * times),
-        np.sin(2.0 * varpi * times),
-        np.cos(2.0 * varpi_prime * times),
-        np.sin(2.0 * varpi_prime * times),
-    ])
-    g = 0.5 - exact
-    corr = basis @ g
+    basis = tones(times)
+    corr = basis @ (0.5 - exact)
     gram = basis @ basis.T
 
     def misfit(t_p):
-        w = np.array([
-            np.cos(2.0 * varpi * t_p),
-            np.sin(2.0 * varpi * t_p),
-            np.cos(2.0 * varpi_prime * t_p),
-            np.sin(2.0 * varpi_prime * t_p),
-        ])
+        w = tones(t_p)
         return float(-0.5 * (corr @ w) + (w @ gram @ w) / 16.0)
 
     mean_tone = 0.5 * abs(varpi + varpi_prime)
@@ -294,12 +287,7 @@ def _fit_time_shift(sequence, varpi, varpi_prime, omega_b):
     step = math.pi / mean_tone / 40.0
     count = min(int(2.0 * half_range / step) + 1, 400001)
     shifts = np.linspace(-half_range, half_range, count)
-    w_all = np.stack([
-        np.cos(2.0 * varpi * shifts),
-        np.sin(2.0 * varpi * shifts),
-        np.cos(2.0 * varpi_prime * shifts),
-        np.sin(2.0 * varpi_prime * shifts),
-    ])
+    w_all = tones(shifts)
     costs = -0.5 * (corr @ w_all) + np.sum(w_all * (gram @ w_all), axis=0) / 16.0
     best = int(np.argmin(costs))
     lo = shifts[max(best - 1, 0)]

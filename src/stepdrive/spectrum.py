@@ -8,12 +8,16 @@ so the transition probability, quadratic in the propagator, is exactly
     P = sum_{u,v} C_n[u, v] * h_u(2*E_n*s) * h_v(2*k*Theta),  h = (1, cos, sin),
 
 for any step count and in every parameter regime.  The 3x3 tables C_n are
-built once per drive.  The projection of P on exp(1j*omega*t) over K
-periods then factorizes into an analytic window integral over s times a
-geometric sum over k, so the line spectrum is exact and its cost does not
-grow with K.  As K -> infinity only discrete lines survive, at l*omega_T
-and +/-2*Theta/T + l*omega_T; a comb line closer to a probe than
-pi/(1024*T) counts as that probe's line.
+built once per drive.  They are also the one model of a sampled signal:
+on offsets s_j repeated over periods k, P is the product of the window
+tones h(2*E_n*s_j) and the period coefficients C_n h(2*k*Theta), which
+the model error, the P12max scan metric and the beat fit read.
+
+The projection of P on exp(1j*omega*t) over K periods factorizes into an
+analytic window integral over s times a geometric sum over k, so the line
+spectrum is exact and its cost does not grow with K.  As K -> infinity
+only discrete lines survive, at l*omega_T and +/-2*Theta/T + l*omega_T; a
+comb line closer to a probe than pi/(1024*T) counts as that probe's line.
 
 Lines are labelled by their probe: "sideband" components sit at
 |2*omega_eff + l*omega_T| with omega_eff on the positive-a branch, and
@@ -33,7 +37,7 @@ from .core import (
     SpectralModel,
 )
 from .effective import effective_hamiltonian
-from .propagator import _combine, _window_starts, rotate, transition_probabilities
+from .propagator import _combine, _window_starts, rotate
 
 # denominators |probe +/- 2 E_n| below this are treated as exactly resonant
 _DEGENERATE_TOL = 1e-10
@@ -51,10 +55,6 @@ _PAIR = 0.5 * np.array([[[1.0, 0.0], [0.0, 1.0]],
                         [[0.0, 1.0], [1.0, 0.0]]])
 
 ModelError = namedtuple("ModelError", ["value", "horizon"])
-
-PiecewiseSpectralCoeffs = namedtuple(
-    "PiecewiseSpectralCoeffs", ["r0", "rc", "rs", "q0", "qc", "qs"]
-)
 
 
 def _phase_integral(x, tau):
@@ -145,12 +145,15 @@ def _line_table(sequence):
 
     Returns
     -------
-    (ndarray, float)
-        Tables of shape (N, 3, 3) and Theta in [0, pi].
+    (ndarray, float, float)
+        Tables of shape (N, 3, 3), Theta in [0, pi], and turn = 2*Theta
+        modulo 2*pi, read as -2*atan2(sin(Theta), -a) when a < 0, so that
+        h(k*turn) = h(2*k*Theta) never scales a rounded Theta near pi.
     """
     starts, per = _window_starts(sequence)
     sin_theta = math.hypot(per.b, per.c, per.d)
     theta = per.angle if sin_theta > 0.0 else 0.0
+    turn = math.copysign(2.0 * math.atan2(sin_theta, abs(per.a)), per.a)
     # (c, d) of X, X G, Y, Y G for every window; _combine(X, U(T), 0, r)
     # is r * X (U(T) - a), so a null rotation takes r = 0 and no G part
     ratio = 1.0 / sin_theta if sin_theta > 0.0 else 0.0
@@ -160,7 +163,20 @@ def _line_table(sequence):
             turned = _combine(left, per, 0.0, ratio)
             rows += [(left[2], left[3]), (turned.c, turned.d)]
     m = np.array(rows).reshape(len(starts), 2, 2, 2).transpose(0, 3, 1, 2)
-    return np.einsum("upq,njqr,vrs,njps->nuv", _PAIR, m, _PAIR, m), theta
+    tables = np.einsum("upq,njqr,vrs,njps->nuv", _PAIR, m, _PAIR, m)
+    return tables, theta, turn
+
+
+def _tones(phase):
+    """h(phase) = (1, cos, sin) of an array of phases, along a new last axis."""
+    return np.stack([np.ones_like(phase), np.cos(phase), np.sin(phase)], axis=-1)
+
+
+def _window_tones(sequence, windows, offsets):
+    """h(2*E_n*(offset - t_n)), shape (m, 3), of m offsets in windows n."""
+    energies = np.array([step.energy for step in sequence.steps])
+    local = offsets - sequence.boundaries[windows]
+    return _tones(2.0 * energies[windows] * local)
 
 
 def _comb(x, K):
@@ -187,7 +203,7 @@ def _line_spectrum(sequence, l_range, K, warn):
     omega_t = sequence.omega_t
     heff = effective_hamiltonian(sequence, branch="positive_a")
     probes = _probe_list(l_range, heff.omega_eff, omega_t)
-    tables, theta = _line_table(sequence)
+    tables, theta, _ = _line_table(sequence)
     starts = sequence.boundaries[:-1]
 
     def project(omega, warn):
@@ -244,50 +260,46 @@ def fourier_numeric(sequence, l_range=(-4, 4), K=256, samples_per_step=64):
 
 
 def piecewise_coefficients(sequence, K):
-    """Per-window tone coefficients of a two-step sequence, k = 0 .. K-1.
+    """Per-window tone coefficients of periods k = 0 .. K-1, any step count.
 
     Returns
     -------
-    PiecewiseSpectralCoeffs
-        Arrays (r0, rc, rs) for the first window and (q0, qc, qs) for the
-        second; see :func:`piecewise_evaluate` for the reconstruction.
+    ndarray
+        Shape (N, 3, K): entry [n, :, k] is C_n @ h(2*k*Theta), the
+        weights of (1, cos, sin)(2*E_n*s) in window n of period k; see
+        :func:`piecewise_evaluate` for the reconstruction.
     """
-    if len(sequence.steps) != 2:
-        raise ValueError("piecewise coefficients need exactly two steps")
-    tables, theta = _line_table(sequence)
-    angles = 2.0 * theta * np.arange(K)
-    h = np.stack([np.ones_like(angles), np.cos(angles), np.sin(angles)])
-    return PiecewiseSpectralCoeffs(*(tables[0] @ h), *(tables[1] @ h))
+    if K < 1:
+        raise ValueError("need at least one period, got K=%r" % (K,))
+    tables, _, turn = _line_table(sequence)
+    return tables @ _tones(turn * np.arange(K)).T
 
 
 def piecewise_evaluate(sequence, coeffs, times):
     """Evaluate the piecewise window model at the given times.
 
     Exact reconstruction of the transition probability from
-    :func:`piecewise_coefficients`, for times within the first K periods.
+    :func:`piecewise_coefficients`, for any step count and times in
+    [0, K*T]; t = K*T is the end of period K-1.
+
+    Raises
+    ------
+    ValueError
+        If a time is negative, non-finite or beyond K periods.
     """
-    step1, step2 = sequence.steps
     period = sequence.period
+    n_periods = coeffs.shape[2]
     times = np.asarray(times, dtype=float)
-    k = np.floor(times / period).astype(int)
-    k = np.clip(k, 0, len(coeffs.r0) - 1)
-    s = times - k * period
-    first = s < step1.tau
-    out = np.empty_like(times)
-    tone = 2.0 * step1.energy * s[first]
-    out[first] = (
-        coeffs.r0[k[first]]
-        + coeffs.rc[k[first]] * np.cos(tone)
-        + coeffs.rs[k[first]] * np.sin(tone)
-    )
-    second = ~first
-    tone = 2.0 * step2.energy * (s[second] - step1.tau)
-    out[second] = (
-        coeffs.q0[k[second]]
-        + coeffs.qc[k[second]] * np.cos(tone)
-        + coeffs.qs[k[second]] * np.sin(tone)
-    )
-    return out
+    # K*T rounded as a product or as the end of period K-1; nan fails both tests
+    end = max(n_periods * period, (n_periods - 1) * period + period)
+    if times.size and not (0.0 <= times.min() and times.max() <= end):
+        raise ValueError("times must lie in [0, K*T] with K = %d" % (n_periods,))
+    flat = times.ravel()
+    k = np.minimum(np.floor(flat / period), n_periods - 1).astype(int)
+    tprime = flat - k * period
+    windows = np.searchsorted(sequence.boundaries[1:-1], tprime, side="right")
+    tones = _window_tones(sequence, windows, tprime)
+    return np.einsum("mu,mu->m", tones, coeffs[windows, :, k]).reshape(times.shape)
 
 
 def fourier_closed_form_two_step(sequence, l_range=(-4, 4), K=None):
@@ -383,26 +395,44 @@ def two_step_empirical_model(sequence, p=None):
 
 def _aligned_times(sequence, t_end, per_step):
     """Boundary-aligned sample times on [0, t_end], >= per_step per step."""
+    return _aligned_signal(sequence, t_end, per_step)[0]
+
+
+def _aligned_signal(sequence, t_end, per_step):
+    """Boundary-aligned sample times on [0, t_end] and the exact P on them.
+
+    A full period holds per_step samples per step, the last on the step's
+    upper boundary; a partial last period at least per_step (and two) per
+    step it reaches.  Sample j of period k is P at the exact point
+    k*T + s_j, and the end of a period is offset 0 of the next one.  All
+    periods are one product of the window tones and the coefficients of
+    :func:`piecewise_coefficients`, so no time is split back into (k, s).
+    """
     period = sequence.period
     bounds = sequence.boundaries
     n_full = int(math.floor(t_end / period))
-    chunks = [np.array([0.0])]
-    base = []
-    for t0, t1 in zip(bounds[:-1], bounds[1:]):
-        base.append(np.linspace(t0, t1, per_step + 1)[1:])
-    base = np.concatenate(base)
-    for k in range(n_full):
-        chunks.append(base + k * period)
+    full = [np.linspace(t0, t1, per_step + 1)[1:] for t0, t1 in zip(bounds[:-1], bounds[1:])]
+    tail = []
     left = t_end - n_full * period
     if left > 1e-12 * period:
-        start = n_full * period
         for t0, t1 in zip(bounds[:-1], bounds[1:]):
             if t0 >= left:
                 break
             hi = min(t1, left)
             n = max(2, int(math.ceil(per_step * (hi - t0) / (t1 - t0))))
-            chunks.append(start + np.linspace(t0, hi, n + 1)[1:])
-    return np.concatenate(chunks)
+            tail.append(np.linspace(t0, hi, n + 1)[1:])
+    base = np.concatenate(full)
+    times = np.concatenate(
+        [[0.0]] + [base + k * period for k in range(n_full)] + [n_full * period + o for o in tail]
+    )
+    coeffs = piecewise_coefficients(sequence, n_full + 1)
+    # each window opens on its lower boundary; T is offset 0 of the next period
+    heads = [np.concatenate(([t0], offsets[:-1])) for t0, offsets in zip(bounds, full)]
+    grid = np.concatenate([
+        _window_tones(sequence, n, offsets) @ coeffs[n] for n, offsets in enumerate(heads)
+    ]).T
+    last = [_window_tones(sequence, n, o) @ coeffs[n, :, n_full] for n, o in enumerate(tail)]
+    return times, np.concatenate([grid[:n_full].ravel(), grid[n_full, :1]] + last)
 
 
 def model_error(sequence, model, t_s=None, per_step=64):
@@ -410,7 +440,7 @@ def model_error(sequence, model, t_s=None, per_step=64):
 
     eps = (1/t_s) * integral_0^t_s |P_exact(t) - P_model(t)| dt, by
     trapezoidal quadrature on a boundary-aligned grid with at least 64
-    samples per step.
+    samples per step; P_exact comes from the line tables.
 
     Parameters
     ----------
@@ -431,8 +461,7 @@ def model_error(sequence, model, t_s=None, per_step=64):
         t_s = 40.0 * sequence.period
     if t_s <= 0.0:
         raise ValueError("horizon must be positive")
-    times = _aligned_times(sequence, t_s, max(64, per_step))
-    exact = transition_probabilities(sequence, times)
+    times, exact = _aligned_signal(sequence, t_s, max(64, per_step))
     approx = model.evaluate(times)
     value = float(np.trapezoid(np.abs(exact - approx), times)) / t_s
     return ModelError(value, t_s)

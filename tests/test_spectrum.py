@@ -4,6 +4,7 @@ import io
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,14 +20,21 @@ from stepdrive import (
     model_error,
     piecewise_coefficients,
     piecewise_evaluate,
+    period_propagator,
     transition_probabilities,
     two_step_empirical_model,
     write_csv,
 )
 from stepdrive.oracle import numeric_fourier
-from stepdrive.spectrum import _aligned_times
+from stepdrive.spectrum import _aligned_signal, _aligned_times
 
-from helpers import large_phase_drive, oracle_projection, resonant_plus_detuned
+from helpers import (
+    large_phase_drive,
+    oracle_projection,
+    quarter_cycle_sequence,
+    random_sequence,
+    resonant_plus_detuned,
+)
 
 # frozen infinite-window lines of the resonant-plus-detuned pair
 RPD_OFFSET = 0.49999999999999994
@@ -54,16 +62,119 @@ def test_piecewise_model_reconstructs_signal_exactly():
     seq = resonant_plus_detuned()
     K = 12
     coeffs = piecewise_coefficients(seq, K)
+    assert coeffs.shape == (2, 3, K)
     times = _aligned_times(seq, K * seq.period, 16)
     exact = transition_probabilities(seq, times)
     got = piecewise_evaluate(seq, coeffs, times)
     assert np.max(np.abs(got - exact)) < 1e-12
+    # the window ends at K*T; beyond it there are no coefficients to read
+    seq = PulseSequence.from_arrays([0.0, 5.0], [1.0, 1.0], [0.0, 0.0], [0.7, 0.4])
+    coeffs = piecewise_coefficients(seq, 4)
+    end = piecewise_evaluate(seq, coeffs, [4.0 * seq.period])
+    assert end == pytest.approx(transition_probabilities(seq, [4.0 * seq.period]), abs=1e-12)
+    for t in (4.5 * seq.period, 10.3 * seq.period, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must lie in"):
+            piecewise_evaluate(seq, coeffs, [0.5 * seq.period, t])
 
 
-def test_piecewise_coefficients_need_two_steps():
-    seq = PulseSequence.from_arrays([0.0], [1.0], [0.0], [1.0])
-    with pytest.raises(ValueError, match="two steps"):
-        piecewise_coefficients(seq, 4)
+def _three_half_turns():
+    # three steps of area pi each: U(T) = -1 up to rounding, Theta next to pi
+    seq = quarter_cycle_sequence([1.0, 2.0, 0.5], [0.0, 4.0, 1.0], half_cycle=(0, 1, 2))
+    assert period_propagator(seq).a < -1.0 + 1e-12
+    return seq
+
+
+@pytest.mark.parametrize("seq", [
+    PulseSequence.from_arrays([2.0], [1.0], [0.3], [1.1]),
+    PulseSequence.from_arrays([0.0, 30.0, -1.5], [1.0, 2.0, 0.7], [0.0, 0.4, -1.1],
+                              [0.9, 0.5, 1.3]),
+    PulseSequence.from_arrays(np.linspace(-6.0, 8.0, 8), np.linspace(0.3, 3.0, 8),
+                              np.linspace(-2.0, 2.5, 8), np.linspace(0.2, 1.6, 8)),
+    PulseSequence.from_arrays([1.0, 0.0, -3.0], [1.0, 0.0, 2.0], [0.0, 0.0, 0.5],
+                              [0.8, 0.6, 0.3]),
+    _three_half_turns(),
+    PulseSequence.from_arrays([0.0], [1.0], [0.0], [math.pi]),
+], ids=["one_step", "three_steps", "eight_steps", "null_step", "minus_one", "half_turn"])
+def test_piecewise_model_reconstructs_any_step_count(seq):
+    K = 9
+    coeffs = piecewise_coefficients(seq, K)
+    assert coeffs.shape == (len(seq.steps), 3, K)
+    rng = np.random.default_rng(len(seq.steps))
+    times = np.concatenate([
+        _aligned_times(seq, K * seq.period, 8),
+        rng.uniform(0.0, K * seq.period, 200),
+    ])
+    exact = transition_probabilities(seq, times)
+    got = piecewise_evaluate(seq, coeffs, times)
+    assert np.max(np.abs(got - exact)) < 1e-12
+    # any shape of times comes back in that shape
+    assert piecewise_evaluate(seq, coeffs, times[:6].reshape(2, 3)).shape == (2, 3)
+
+
+def test_aligned_signal_matches_the_propagator_on_its_grid():
+    # the line tables evaluate the exact points k*T + s_j, the propagator
+    # the rounded times fl(s_j + k*T): they differ by the slope of P, at
+    # most 2*E_max, times that rounding
+    rng = np.random.default_rng(41)
+    for i in range(60):
+        seq = random_sequence(rng, lo=0.1, hi=10.0)
+        periods = 40.0 if i % 2 else 17.0 + rng.uniform(0.05, 0.95)
+        t_end = periods * seq.period
+        times, got = _aligned_signal(seq, t_end, 16)
+        assert np.array_equal(times, _aligned_times(seq, t_end, 16))
+        e_max = max(step.energy for step in seq.steps)
+        bound = 2e-13 + 4.0 * e_max * math.ulp(t_end)
+        assert np.max(np.abs(got - transition_probabilities(seq, times))) <= bound
+
+
+def _mp_probability(seq, k, offset):
+    # 40-digit P at the exact point k*T + offset: k full periods of the
+    # float step fields, then the steps up to the offset, composed with the
+    # recursion of propagator.rotate
+    u = (mpmath.mpf(1), 0, 0, 0)
+    spans = [step.tau for step in seq.steps] * k
+    rest = mpmath.mpf(offset)
+    for step in seq.steps:
+        spans.append(min(mpmath.mpf(step.tau), rest))
+        rest -= mpmath.mpf(step.tau)
+    for step, s in zip(seq.steps * (k + 1), spans):
+        if s <= 0:
+            break
+        delta, eps, theta, _ = (mpmath.mpf(x) for x in step)
+        energy = mpmath.sqrt(eps**2 + delta**2 / 4)
+        cn, sn = mpmath.cos(energy * s), mpmath.sin(energy * s) / energy
+        x, y, z = eps * mpmath.cos(theta) * sn, eps * mpmath.sin(theta) * sn, delta / 2 * sn
+        a, b, c, d = u
+        u = (a * cn - (d * x + c * y + b * z), b * cn + (c * x - d * y + a * z),
+             c * cn + (-b * x + a * y + d * z), d * cn + (a * x + b * y - c * z))
+    return u[2] ** 2 + u[3] ** 2
+
+
+def test_aligned_signal_matches_mpmath_at_the_grid_points():
+    # sample j of period k is P at the exact point k*T + s_j, and the end of
+    # a period is offset 0 of the next one; the offsets are rebuilt here as
+    # _aligned_signal lays them out, with a partial last period
+    rng = np.random.default_rng(43)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for i in range(8):
+            seq = random_sequence(rng, lo=0.1, hi=10.0)
+            bounds = seq.boundaries
+            left = (0.15 + 0.1 * i) * seq.period
+            pairs = list(zip(bounds, bounds[1:]))
+            base = np.concatenate([np.linspace(t0, t1, 5)[1:] for t0, t1 in pairs])
+            points = [(0, 0.0)]
+            for k in range(3):
+                points += [(k, s) for s in base[:-1]] + [(k + 1, 0.0)]
+            for t0, t1 in pairs:
+                if t0 < left:
+                    n = max(2, math.ceil(4 * (min(t1, left) - t0) / (t1 - t0)))
+                    points += [(3, s) for s in np.linspace(t0, min(t1, left), n + 1)[1:]]
+            _, got = _aligned_signal(seq, 3.0 * seq.period + left, 4)
+            assert len(points) == got.size
+            for (k, offset), value in zip(points, got):
+                worst = max(worst, abs(float(value - _mp_probability(seq, k, offset))))
+    assert worst < 1e-13
 
 
 def test_resonant_single_step_has_one_exact_line():
