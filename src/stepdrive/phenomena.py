@@ -15,9 +15,9 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import BeatPrediction, DriveStep, PropagatorCoeffs, PulseSequence, validate
+from .core import BeatPrediction, PulseSequence, validate
 from .effective import effective_hamiltonian
-from .propagator import compose, period_propagator, rotate
+from .propagator import period_propagator, rotate, step_propagator
 from .spectrum import _aligned_signal, fourier_numeric
 
 # dynamical-phase tolerance when recognizing quarter- and half-cycle pulses
@@ -189,8 +189,8 @@ def beat_prediction(sequence, resonant_tol=0.01):
     entirely and the rules apply to the remaining steps.
 
     The time shift t_p is fitted by least squares against the exact signal
-    of the line tables over max(4*pi/omega_b, 10 T), at most 2000 T.  The
-    fit uses scipy.optimize, which the first call imports.
+    of the line tables over max(4*pi/omega_b, 10 T), at most 2000 T, by a
+    dense scan refined with Newton steps on the closed-form derivatives.
 
     Parameters
     ----------
@@ -275,10 +275,6 @@ def _fit_time_shift(sequence, varpi, varpi_prime, omega_b):
     corr = basis @ (0.5 - exact)
     gram = basis @ basis.T
 
-    def misfit(t_p):
-        w = tones(t_p)
-        return float(-0.5 * (corr @ w) + (w @ gram @ w) / 16.0)
-
     mean_tone = 0.5 * abs(varpi + varpi_prime)
     if mean_tone == 0.0:
         return 0.0
@@ -292,10 +288,20 @@ def _fit_time_shift(sequence, varpi, varpi_prime, omega_b):
     best = int(np.argmin(costs))
     lo = shifts[max(best - 1, 0)]
     hi = shifts[min(best + 1, count - 1)]
-    import scipy.optimize
-
-    res = scipy.optimize.minimize_scalar(misfit, bounds=(lo, hi), method="bounded")
-    return float(res.x)
+    # Newton on the closed-form derivatives, w' = rate * (-sin, cos) and
+    # w'' = -rate**2 w per tone, kept inside the scan's bracket
+    rate = 2.0 * np.array([varpi, varpi, varpi_prime, varpi_prime])
+    t_p = shifts[best]
+    for _ in range(6):
+        w = tones(t_p)
+        dw = rate * np.array([-w[1], w[0], -w[3], w[2]])
+        ddw = -rate * rate * w
+        slope = -0.5 * (corr @ dw) + (dw @ gram @ w) / 8.0
+        curve = -0.5 * (corr @ ddw) + (ddw @ gram @ w + dw @ gram @ dw) / 8.0
+        if not curve > 0.0:
+            break
+        t_p = min(max(t_p - slope / curve, lo), hi)
+    return float(t_p)
 
 
 def phase_from_beat(omega_b, sequence):
@@ -364,12 +370,6 @@ _FREE_FIELDS = {
     "durations": "tau",
 }
 
-# a bracket residual below this, times the largest step phase E*tau (at
-# least 1), is recomputed on the scalar path before its sign is read:
-# numpy's hypot/cos/sin may round differently from math's, by about 1e-16
-# times that phase
-_BRACKET_RECHECK = 1e-9
-
 
 def _with_field(sequence, field, value):
     if field not in _FREE_FIELDS:
@@ -378,28 +378,38 @@ def _with_field(sequence, field, value):
     return PulseSequence((sequence.steps[0], step))
 
 
-def _bracket_residuals(sequence, field, grid):
-    """b(T) of ``_with_field(sequence, field, x)`` for every x in grid.
+def _closed_form_root(sequence, field):
+    """Root of b(T) in step 2's duration or phase; None if there is none.
 
-    Returns the array of b(T) and the bound below which a value is to be
-    recomputed on the scalar path.  The batched form of design_manipulation's scalar residual
-    ``period_propagator(_with_field(sequence, field, x)).b``, in one numpy
-    pass: the varied step is not validated, its phase is E*tau as
-    _window_starts composes it, and a null step (E = 0) rotates about the
-    zero axis.  Durations must be positive.
+    U(T) = U_2 U_1, so with g the b of U_1 and of its unit turns about the
+    three axes, b(T) = cos(phi) g_0 + sin(phi) (axis . g), phi = E_2 tau_2.
+    The duration root is the first zero at phi >= 1e-9 E_2.  The axis is
+    linear in (1, cos theta_2, sin theta_2): b(T) = A + B cos + C sin, and
+    the smaller of its two zeros in [-pi, pi] is the phase root.  A null
+    step 2 (E_2 = 0) leaves b(T) fixed and has no root.
     """
     step1, step2 = sequence.steps
-    values = step2._asdict()
-    values[_FREE_FIELDS[field]] = grid
-    delta, eps, theta, tau = (values[k] for k in DriveStep._fields)
-    energy = np.hypot(eps, 0.5 * delta)
-    # unit denominators on null steps leave their zero numerators zero
-    norm = np.where(energy == 0.0, 1.0, energy)
-    axis = (eps * np.cos(theta) / norm, eps * np.sin(theta) / norm, 0.5 * delta / norm)
-    first = compose(PropagatorCoeffs.identity(), step1, step1.tau)
-    phase = energy * tau
-    bound = _BRACKET_RECHECK * max(1.0, float(np.abs(phase).max()))
-    return rotate(first, np.cos(phase), np.sin(phase), axis)[1], bound
+    energy = step2.energy
+    if energy == 0.0:
+        return None
+    first = step_propagator(step1, step1.tau)
+    gx, gy, gz = (rotate(first, 0.0, 1.0, e)[1] for e in np.eye(3).tolist())
+    if field == "durations":
+        ax, ay, az = step2.axis
+        phi = math.atan2(-first.b, ax * gx + ay * gy + az * gz) % math.pi
+        if phi < 1e-9 * energy:
+            phi += math.pi
+        return phi / energy
+    cn, sn = math.cos(energy * step2.tau), math.sin(energy * step2.tau)
+    const = cn * first.b + sn * (0.5 * step2.delta / energy) * gz
+    turn = sn * step2.epsilon / energy
+    amp = math.hypot(turn * gx, turn * gy)
+    # |A| >= hypot(B, C) leaves no sign change, only a tangent zero
+    if not abs(const) < amp:
+        return None
+    centre = math.atan2(turn * gy, turn * gx)
+    half = math.acos(-const / amp)
+    return min(math.remainder(centre + s, 2.0 * math.pi) for s in (-half, half))
 
 
 def design_manipulation(sequence, target, free_parameter):
@@ -411,15 +421,15 @@ def design_manipulation(sequence, target, free_parameter):
     durations).
 
     target = 'complete_transition' zeroes the b coefficient of the period
-    propagator by a bracketed root search over the free parameter
-    (detuning, coupling, phase, or durations); a sequence already
-    satisfying the target is returned unchanged.  The sign bracket (1024
-    or 2048 grid points) is evaluated in one batched numpy call; grid
-    points with |b| below 1e-9 (times the largest step phase E*tau when
-    that exceeds 1) are recomputed on the scalar path before their sign
-    is read, and brentq refines the root on the scalar path, so the
-    result is the one a point-by-point scalar search gives.  The first
-    root search imports scipy.optimize.
+    propagator by tuning the free parameter (detuning, coupling, phase, or
+    durations); a sequence already satisfying the target is returned
+    unchanged.  Durations and phase have closed-form roots (see
+    :func:`_closed_form_root`): the first duration root, and the smaller
+    of the two phase roots in [-pi, pi].  Detuning and coupling enter
+    through the step energy and have none: their root is bracketed by the
+    first sign change of b on a 2048-point grid and refined by brentq,
+    which imports scipy.optimize.  A ValueError reports a target with no
+    root.
 
     Parameters
     ----------
@@ -464,41 +474,31 @@ def design_manipulation(sequence, target, free_parameter):
         return validate(out)
 
     if target == "complete_transition":
+        if free_parameter not in _FREE_FIELDS:
+            raise ValueError("unknown free parameter %r" % (free_parameter,))
 
         def residual(x):
             return period_propagator(_with_field(sequence, free_parameter, x)).b
 
-        if free_parameter not in _FREE_FIELDS:
-            raise ValueError("unknown free parameter %r" % (free_parameter,))
         if abs(residual(getattr(step2, _FREE_FIELDS[free_parameter]))) < 1e-12:
             return sequence
 
-        scale = max(
-            abs(step2.delta), step1.epsilon, step2.epsilon, abs(step1.delta)
-        )
-        grids = {
-            "detuning": np.linspace(-10.0 * scale, 10.0 * scale, 2048),
-            "coupling": np.linspace(1e-6 * scale, 20.0 * scale, 2048),
-            "phase": np.linspace(-math.pi, math.pi, 1024),
-            "durations": np.linspace(
-                1e-9, step2.tau + 2.0 * math.pi / step2.energy, 2048
-            ),
-        }
-        grid = grids[free_parameter]
-        vals, bound = _bracket_residuals(sequence, free_parameter, grid)
-        # the negated test also sends nan to the scalar path, which raises
-        for i in np.flatnonzero(~(np.abs(vals) >= bound)):
-            vals[i] = residual(grid[i])
-        sign = np.sign(vals)
-        flips = np.nonzero(np.diff(sign) != 0)[0]
-        if flips.size == 0:
-            raise ValueError(
-                "no sign change of the target residual in the search bracket"
-            )
-        i = flips[0]
-        import scipy.optimize
+        if free_parameter in ("durations", "phase"):
+            root = _closed_form_root(sequence, free_parameter)
+        else:
+            scale = max(abs(step2.delta), step1.epsilon, step2.epsilon, abs(step1.delta))
+            lo, hi = (-10.0, 10.0) if free_parameter == "detuning" else (1e-6, 20.0)
+            grid = np.linspace(lo * scale, hi * scale, 2048)
+            sign = np.sign([residual(x) for x in grid])
+            flips = np.nonzero(np.diff(sign) != 0)[0]
+            root = None
+            if flips.size:
+                import scipy.optimize
 
-        root = scipy.optimize.brentq(residual, grid[i], grid[i + 1], xtol=1e-14)
+                i = flips[0]
+                root = scipy.optimize.brentq(residual, grid[i], grid[i + 1], xtol=1e-14)
+        if root is None:
+            raise ValueError("no sign change of the target residual in the search bracket")
         return validate(_with_field(sequence, free_parameter, root))
 
     raise ValueError("unknown target %r" % (target,))

@@ -6,6 +6,7 @@ reference values are reproduced bit for bit.
 
 import math
 
+import mpmath
 import numpy as np
 
 from stepdrive import PulseSequence
@@ -57,6 +58,27 @@ def random_sequence(rng, max_steps=8, lo=0.01, hi=100.0):
     thetas = rng.uniform(-np.pi, np.pi, n)
     taus = np.exp(rng.uniform(np.log(lo), np.log(hi), n))
     return PulseSequence.from_arrays(deltas, eps, thetas, taus)
+
+
+def mp_period_propagator(seq):
+    """U(T) composed in mpmath at the working precision from the float step
+    fields, in the library's recursion order; no null steps."""
+    one = mpmath.mpf(1)
+    a, b, c, d = one, 0 * one, 0 * one, 0 * one
+    for step in seq.steps:
+        delta, eps, theta, tau = (mpmath.mpf(x) for x in step)
+        energy = mpmath.sqrt(eps**2 + delta**2 / 4)
+        ax = eps * mpmath.cos(theta) / energy
+        ay = eps * mpmath.sin(theta) / energy
+        az = delta / 2 / energy
+        cn, sn = mpmath.cos(energy * tau), mpmath.sin(energy * tau)
+        a, b, c, d = (
+            a * cn - (d * ax + c * ay + b * az) * sn,
+            b * cn + (c * ax - d * ay + a * az) * sn,
+            c * cn + (-b * ax + a * ay + d * az) * sn,
+            d * cn + (a * ax + b * ay - c * az) * sn,
+        )
+    return a, b, c, d
 
 
 def coeffs_from_unitary(u):

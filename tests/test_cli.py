@@ -485,15 +485,18 @@ def scipy_modules():
 path = sys.argv[1]
 report = {"import": scipy_modules()}
 with contextlib.redirect_stdout(io.StringIO()):
-    for name, argv in (("heff", ["heff", path]),
-                       ("propagate", ["propagate", path, "--tgrid", "0:1:3"])):
+    for name, argv in (
+        ("heff", ["heff", path]),
+        ("propagate", ["propagate", path, "--tgrid", "0:1:3"]),
+        ("beat", ["beat", path]),
+        ("scan", ["scan", path, "--vary", "delta2=30:50:3", "--resolve-tau", "2"]),
+    ):
         report[name] = [cli.main(argv), scipy_modules()]
-    report["beat"] = [cli.main(["beat", path]), "scipy.optimize" in sys.modules]
 print(json.dumps(report))
 """
 
 
-def test_scipy_stays_unloaded_until_beat(tmp_path):
+def test_no_cli_request_loads_scipy(tmp_path):
     path = write_config(tmp_path, PAIR_CONFIG)
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -505,5 +508,6 @@ def test_scipy_stays_unloaded_until_beat(tmp_path):
         "import": [],
         "heff": [0, []],
         "propagate": [0, []],
-        "beat": [0, True],
+        "beat": [0, []],
+        "scan": [0, []],
     }

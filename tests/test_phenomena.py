@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -22,9 +23,10 @@ from stepdrive import (
     phase_from_beat,
     transition_probabilities,
 )
-from stepdrive.phenomena import _BRACKET_RECHECK, _bracket_residuals, _with_field
+from stepdrive.phenomena import _FREE_FIELDS, _with_field
+from stepdrive.spectrum import _aligned_signal
 
-from helpers import quarter_cycle_sequence, resonant_plus_detuned
+from helpers import mp_period_propagator, quarter_cycle_sequence, resonant_plus_detuned
 
 # frozen beat prediction of the resonant-plus-detuned pair
 RPD_OMEGA_B = 0.060583604204843544
@@ -148,6 +150,66 @@ def test_detuned_half_cycle_drops_out_of_the_rules():
     assert bp.n_resonant == 1
     assert bp.is_beat
     assert model_error(seq, bp).value < 0.05
+
+
+def scipy_fit_misfits(seq, bp):
+    """The beat fit's misfit at bp.t_p and at SciPy's bounded minimum.
+
+    The reference refinement: the same data inner products and dense scan
+    as phenomena._fit_time_shift, then minimize_scalar on the bracket
+    around the scan's best point.
+    """
+    period = seq.period
+    varpi, varpi_prime, omega_b = bp.varpi_1, bp.varpi_1_prime, bp.omega_b
+    horizon = min(max(4.0 * math.pi / omega_b, 10.0 * period), 2000.0 * period)
+    times, exact = _aligned_signal(seq, horizon, 16)
+
+    def tones(t):
+        return np.stack([np.cos(2.0 * varpi * t), np.sin(2.0 * varpi * t),
+                         np.cos(2.0 * varpi_prime * t), np.sin(2.0 * varpi_prime * t)])
+
+    basis = tones(times)
+    corr = basis @ (0.5 - exact)
+    gram = basis @ basis.T
+
+    def misfit(t_p):
+        w = tones(t_p)
+        return float(-0.5 * (corr @ w) + (w @ gram @ w) / 16.0)
+
+    mean_tone = 0.5 * abs(varpi + varpi_prime)
+    half_range = max(math.pi / omega_b, math.pi / mean_tone, period)
+    step = math.pi / mean_tone / 40.0
+    count = min(int(2.0 * half_range / step) + 1, 400001)
+    shifts = np.linspace(-half_range, half_range, count)
+    w_all = tones(shifts)
+    best = int(np.argmin(-0.5 * (corr @ w_all) + np.sum(w_all * (gram @ w_all), axis=0) / 16.0))
+    bracket = (shifts[max(best - 1, 0)], shifts[min(best + 1, count - 1)])
+    res = scipy.optimize.minimize_scalar(misfit, bounds=bracket, method="bounded")
+    return misfit(bp.t_p), res.fun
+
+
+def test_beat_fit_is_at_least_as_good_as_scipy():
+    rng = np.random.default_rng(41)
+    fitted = 0
+    for _ in range(24):
+        n = int(rng.integers(2, 5))
+        eps = rng.uniform(0.5, 2.0, n)
+        # a resonant first step, the rest resonant or strongly detuned
+        deltas = [0.0] + [
+            float(rng.choice([0.0, rng.choice([-1.0, 1.0]) * rng.uniform(12.0, 60.0) * e]))
+            for e in eps[1:]
+        ]
+        half_cycle = (int(rng.integers(0, n)),) if n % 2 else ()
+        seq = quarter_cycle_sequence(
+            list(eps), deltas, list(rng.uniform(-math.pi, math.pi, n)), half_cycle
+        )
+        bp = beat_prediction(seq)
+        if bp.omega_b == 0.0:
+            continue
+        got, scipy_best = scipy_fit_misfits(seq, bp)
+        assert got <= scipy_best + 1e-15 * abs(scipy_best)
+        fitted += 1
+    assert fitted >= 20
 
 
 def test_beat_prediction_input_validation():
@@ -298,9 +360,9 @@ def test_design_reports_empty_bracket():
     seq = PulseSequence.from_arrays(
         [40.0, 40.0], [1.0, 1.0], [0.0, 0.5], [tau, tau]
     )
-    # the batched bracket sees one sign over the whole phase circle
+    # the scalar residual has one sign over the whole phase circle
     grid = np.linspace(-math.pi, math.pi, 1024)
-    vals, _ = _bracket_residuals(seq, "phase", grid)
+    vals = np.array([period_propagator(_with_field(seq, "phase", x)).b for x in grid])
     assert np.all(vals > 0.0) or np.all(vals < 0.0)
     with pytest.raises(ValueError, match="no sign change"):
         design_manipulation(seq, "complete_transition", "phase")
@@ -308,64 +370,71 @@ def test_design_reports_empty_bracket():
 
 # off-resonant first step, strongly detuned second: no field starts at b = 0
 DESIGN_PAIR = ([2.5, 30.0], [1.1, 0.9], [0.0, 0.4], [0.35, 0.05])
-# the same with epsilon2 = 0: delta2 = 0 on a grid is a null step (E = 0)
-NULL_PAIR = ([2.5, 30.0], [1.1, 0.0], [0.0, 0.4], [0.35, 0.05])
+# a null second step (E_2 = 0): its duration and phase cannot move b(T)
+NULL_PAIR = ([2.5, 0.0], [1.1, 0.0], [0.0, 0.4], [0.35, 0.05])
+
+
+def scalar_loop_roots(seq, field):
+    """brentq roots at every sign flip of b(T) on the search grid.
+
+    The reference search: scalar residuals point by point on the field's
+    grid, one brentq per bracket, the first of them the design root.
+    Empty without a flip.
+    """
+
+    def residual(x):
+        return period_propagator(_with_field(seq, field, x)).b
+
+    step1, step2 = seq.steps
+    scale = max(abs(step2.delta), step1.epsilon, step2.epsilon, abs(step1.delta))
+    if field == "detuning":
+        grid = np.linspace(-10.0 * scale, 10.0 * scale, 2048)
+    elif field == "coupling":
+        grid = np.linspace(1e-6 * scale, 20.0 * scale, 2048)
+    elif field == "phase":
+        grid = np.linspace(-math.pi, math.pi, 1024)
+    else:
+        grid = np.linspace(1e-9, step2.tau + 2.0 * math.pi / step2.energy, 2048)
+    sign = np.sign([residual(x) for x in grid])
+    return [
+        scipy.optimize.brentq(residual, grid[i], grid[i + 1], xtol=1e-14)
+        for i in np.nonzero(np.diff(sign) != 0)[0]
+    ]
 
 
 @pytest.mark.parametrize(
-    "arrays, field, grid",
+    "arrays, field",
     [
-        (DESIGN_PAIR, "detuning", np.linspace(-300.0, 300.0, 2048)),
-        (DESIGN_PAIR, "coupling", np.linspace(3e-5, 600.0, 2048)),
-        (DESIGN_PAIR, "phase", np.linspace(-math.pi, math.pi, 1024)),
-        (DESIGN_PAIR, "durations", np.linspace(1e-9, 0.05 + 2.0 * math.pi / 15.0, 2048)),
-        (NULL_PAIR, "detuning", np.linspace(-40.0, 40.0, 81)),
+        (DESIGN_PAIR, "detuning"),
+        (DESIGN_PAIR, "coupling"),
+        (DESIGN_PAIR, "durations"),
+        (NULL_PAIR, "detuning"),
+        (NULL_PAIR, "coupling"),
     ],
 )
-def test_batched_bracket_matches_the_scalar_residual(arrays, field, grid):
+def test_design_finds_the_first_root_of_the_search(arrays, field):
     seq = PulseSequence.from_arrays(*arrays)
-    got, _ = _bracket_residuals(seq, field, grid)
-    want = [period_propagator(_with_field(seq, field, x)).b for x in grid]
-    assert got.shape == grid.shape
-    assert np.all(np.isfinite(got))
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+    roots = scalar_loop_roots(seq, field)
+    out = design_manipulation(seq, "complete_transition", field)
+    assert out.steps[0] == seq.steps[0]
+    assert abs(period_propagator(out).b) < 1e-12
+    got = getattr(out.steps[1], _FREE_FIELDS[field])
+    if field == "durations":
+        assert got == pytest.approx(roots[0], rel=1e-11)
+    else:
+        # the same bracket and brentq as the reference search
+        assert got == roots[0]
 
 
-def test_batched_bracket_recheck_bound_grows_with_the_step_phase():
-    # E*tau of the second step near 1e6
-    seq = PulseSequence.from_arrays([2.5, 2e4], [1.1, 0.9], [0.0, 0.4], [0.35, 100.0])
-    grid = np.linspace(1.998e4, 2.002e4, 512)
-    got, bound = _bracket_residuals(seq, "detuning", grid)
-    want = np.array([period_propagator(_with_field(seq, "detuning", x)).b for x in grid])
-    largest_phase = np.hypot(0.9, 0.5 * grid[-1]) * 100.0
-    assert bound == pytest.approx(_BRACKET_RECHECK * largest_phase, rel=1e-12)
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=bound)
-    # every sign read without a scalar recheck is the scalar sign
-    kept = np.abs(got) >= bound
-    assert kept.sum() > len(grid) // 2
-    assert np.all(np.sign(got[kept]) == np.sign(want[kept]))
-
-
-def scalar_design_durations(seq):
-    """Root of the 2048-call scalar bracket plus brentq; None if no bracket."""
-
-    def residual(x):
-        return period_propagator(_with_field(seq, "durations", x)).b
-
-    step2 = seq.steps[1]
-    if abs(residual(step2.tau)) < 1e-12:
-        return step2.tau
-    grid = np.linspace(1e-9, step2.tau + 2.0 * math.pi / step2.energy, 2048)
-    sign = np.sign(np.array([residual(x) for x in grid]))
-    flips = np.nonzero(np.diff(sign) != 0)[0]
-    if flips.size == 0:
-        return None
-    i = flips[0]
-    return scipy.optimize.brentq(residual, grid[i], grid[i + 1], xtol=1e-14)
+@pytest.mark.parametrize("field", ["durations", "phase"])
+def test_design_null_second_step_has_no_duration_or_phase_root(field):
+    seq = PulseSequence.from_arrays(*NULL_PAIR)
+    with pytest.raises(ValueError, match="no sign change"):
+        design_manipulation(seq, "complete_transition", field)
 
 
 @seed(11)
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     delta1=st.floats(-5.0, 5.0),
     delta2=st.floats(-40.0, 40.0),
@@ -375,20 +444,36 @@ def scalar_design_durations(seq):
     tau1=st.floats(0.05, 1.0),
     tau2=st.floats(0.02, 1.0),
 )
-def test_design_durations_root_is_bit_equal_to_the_scalar_loop(
-    delta1, delta2, eps1, eps2, theta2, tau1, tau2
+@pytest.mark.parametrize("field", ["durations", "phase"])
+def test_design_closed_form_is_the_first_root_of_the_search(
+    field, delta1, delta2, eps1, eps2, theta2, tau1, tau2
 ):
     seq = PulseSequence.from_arrays(
         [delta1, delta2], [eps1, eps2], [0.0, theta2], [tau1, tau2]
     )
-    want = scalar_design_durations(seq)
-    if want is None:
-        with pytest.raises(ValueError, match="no sign change"):
-            design_manipulation(seq, "complete_transition", "durations")
+    if abs(period_propagator(seq).b) < 1e-12:
+        assert design_manipulation(seq, "complete_transition", field) is seq
         return
-    out = design_manipulation(seq, "complete_transition", "durations")
+    roots = scalar_loop_roots(seq, field)
+    if not roots:
+        with pytest.raises(ValueError, match="no sign change"):
+            design_manipulation(seq, "complete_transition", field)
+        return
+    out = design_manipulation(seq, "complete_transition", field)
     assert out.steps[0] == seq.steps[0]
-    assert out.steps[1].tau == want
+    got = getattr(out.steps[1], _FREE_FIELDS[field])
+    gaps = list(np.diff(roots))
+    if field == "phase":
+        # the phase roots repeat with period 2*pi
+        gaps.append(2.0 * math.pi - (roots[-1] - roots[0]))
+        miss = abs(math.remainder(got - roots[0], 2.0 * math.pi))
+    else:
+        miss = abs(got - roots[0])
+    assert miss < 1e-3 * min(gaps)
+    # b(T) at the float root is zero to the rounding of its phase
+    bound = 4.0 * 2.2e-16 * sum(1.0 + s.energy * s.tau for s in out.steps)
+    with mpmath.workdps(40):
+        assert abs(float(mp_period_propagator(out)[1])) <= bound
 
 
 def test_design_input_validation():

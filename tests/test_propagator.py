@@ -24,7 +24,7 @@ from stepdrive import (
 from stepdrive.oracle import brute_force_evolve
 from stepdrive.propagator import _BLOCK, _power_factors, _split_time, _window_starts
 
-from helpers import coeffs_from_unitary, detuned_pair, random_sequence
+from helpers import coeffs_from_unitary, detuned_pair, mp_period_propagator, random_sequence
 
 ORACLE_TOL = 1e-11
 
@@ -301,26 +301,6 @@ def test_period_propagator_is_the_composed_window_product():
         assert tuple(period_propagator(seq)) == tuple(_window_starts(seq)[1])
 
 
-def _mp_period_propagator(seq):
-    # 40-digit composition of the float step fields, same recursion order
-    one = mpmath.mpf(1)
-    a, b, c, d = one, 0 * one, 0 * one, 0 * one
-    for step in seq.steps:
-        delta, eps, theta, tau = (mpmath.mpf(x) for x in step)
-        energy = mpmath.sqrt(eps**2 + delta**2 / 4)
-        ax = eps * mpmath.cos(theta) / energy
-        ay = eps * mpmath.sin(theta) / energy
-        az = delta / 2 / energy
-        cn, sn = mpmath.cos(energy * tau), mpmath.sin(energy * tau)
-        a, b, c, d = (
-            a * cn - (d * ax + c * ay + b * az) * sn,
-            b * cn + (c * ax - d * ay + a * az) * sn,
-            c * cn + (-b * ax + a * ay + d * az) * sn,
-            d * cn + (a * ax + b * ay - c * az) * sn,
-        )
-    return a, b, c, d
-
-
 def test_period_propagator_matches_mpmath():
     # each step contributes a few roundings of order one plus the rounding
     # of its phase E*tau; a duration taken as a difference of running
@@ -331,7 +311,7 @@ def test_period_propagator_matches_mpmath():
         for _ in range(200):
             seq = random_sequence(rng)
             bound = 2.0 * 2.2e-16 * sum(1.0 + s.energy * s.tau for s in seq.steps)
-            want = _mp_period_propagator(seq)
+            want = mp_period_propagator(seq)
             for got, exact in zip(period_propagator(seq), want):
                 assert abs(float(mpmath.mpf(got) - exact)) <= bound
 
