@@ -17,10 +17,12 @@ branch-ambiguous effective Hamiltonian.
 """
 
 import argparse
+import collections
 import concurrent.futures
 import itertools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -50,6 +52,10 @@ _MAX_POINTS = 1_000_000
 
 # rows formatted per write, so a long grid never holds all its row strings
 _ROW_BLOCK = 8192
+
+# a number standing alone in an error message, such as 1e-06 or -0.25;
+# compiled by `re` on first use, so start-up does not pay for it
+_NUMBER = r"(?<![\w./])[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?"
 
 
 class ConfigError(ValueError):
@@ -243,11 +249,16 @@ def _parse_vary(text):
 
 
 def _scan_cell(payload):
-    """Evaluate one scan cell; top level so process pools can pickle it."""
+    """Evaluate one scan cell; top level so process pools can pickle it.
+
+    Returns (flat index, values, metric, reason): a cell whose metric is
+    undefined gets nan and the message of the error that refused it.
+    """
     (flat_index, arrays, fields, values, metric, resolve_tau) = payload
     arrays = {k: list(v) for k, v in arrays.items()}
     for (name, index), value in zip(fields, values):
         arrays[name][index - 1] = value
+    reason = None
     try:
         sequence = PulseSequence.from_arrays(*(arrays[key] for key in _CONFIG_KEYS))
         if resolve_tau is not None:
@@ -261,9 +272,10 @@ def _scan_cell(payload):
         else:
             model = two_step_empirical_model(sequence)
             result = model_error(sequence, model).value
-    except (ValueError, ArithmeticError):
+    except (ValueError, ArithmeticError) as exc:
         result = math.nan
-    return flat_index, values, result
+        reason = str(exc)
+    return flat_index, values, result, reason
 
 
 def cmd_scan(args):
@@ -306,8 +318,15 @@ def cmd_scan(args):
         results = [_scan_cell(p) for p in payloads]
     results.sort(key=lambda r: r[0])
 
-    table = np.array([values + (result,) for _, values, result in results])
+    table = np.array([values + (result,) for _, values, result, _ in results])
     _write_rows(",".join(["%s%d" % f for f in fields] + [args.metric]), table.T)
+    # the numbers in a message belong to its cell; the rest names the reason
+    reasons = collections.Counter(
+        re.sub(_NUMBER, "N", reason) for *_, reason in results if reason is not None
+    )
+    for reason, count in reasons.most_common():
+        print("stepdrive: scan: %d of %d cells are nan: %s" % (count, len(results), reason),
+              file=sys.stderr)
     return 0
 
 

@@ -3,9 +3,11 @@
 A single constant segment rotates the Bloch vector about its field axis;
 segments compose through a four-term real recursion on the SU(2)
 coefficients (a, b, c, d).  Whole periods enter through a Chebyshev-style
-power identity in the per-period rotation angle Theta of U(T), so
-evaluating the propagator at t' + script_N * T costs O(N) regardless of the
-period count script_N.
+power identity in the per-period rotation angle Theta of U(T), so the cost
+of the propagator at t' + script_N * T does not grow with the period count
+script_N.  On a time array, each time costs one cos/sin pair for its
+rotation inside the current step plus N comparisons to find that step, and
+the power factors are computed once per run of times with equal script_N.
 
 The power identity needs cos(script_N*Theta) and the ratio
 sin(script_N*Theta)/sin(Theta).  Theta is read with atan2 from the whole
@@ -211,10 +213,15 @@ def evolve_many(sequence, times):
 
     Returns four arrays (a, b, c, d) with the shape of ``times``.  Each
     time t = n*T + t' gets U(t') combined with U(T)**n through the power
-    identity, so the cost is O(N + len(times)) whatever the period count.
-    Long arrays are processed in blocks of _BLOCK times, so the
-    temporaries stay small and the allocator reuses them instead of
-    mapping fresh pages on every call.  :func:`evolve` is the scalar form.
+    identity, so the cost does not grow with the period count.  It is
+    O(N * len(times)): finding the step of each t' and selecting the times
+    of each step pass over the times once per step, and each time takes
+    one cos/sin pair for its rotation inside its step.  cos(n*Theta) and
+    sin(n*Theta)/sin(Theta) are computed once per run of neighbouring times
+    with equal n, so a sorted grid pays for them about once per period.
+    Long arrays are processed in blocks of _BLOCK times, so the temporaries
+    stay small and the allocator reuses them instead of mapping fresh pages
+    on every call.  :func:`evolve` is the scalar form.
 
     Parameters
     ----------
@@ -241,11 +248,28 @@ def evolve_many(sequence, times):
     out = np.empty((4, ts.size))
     for lo in range(0, ts.size, _BLOCK):
         n_per, tp = _split_time(ts[lo:lo + _BLOCK], sequence.period)
-        cos_n, ratio = _power_factors(per, n_per)
-        block = _combine(_intra_block(sequence, starts, tp), per, cos_n, ratio)
+        # one factor pair per run of equal period counts, in any time order;
+        # `cuts` holds the first index of each run and the block end
+        cuts = np.flatnonzero(np.concatenate(([True], n_per[1:] != n_per[:-1], [True])))
+        lengths = np.diff(cuts)
+        cos_n, ratio = _power_factors(per, n_per[cuts[:-1]])
+        block = _combine(
+            _intra_block(sequence, starts, tp), per,
+            np.repeat(cos_n, lengths), np.repeat(ratio, lengths),
+        )
         for row, coeff in zip(out, block):
             row[lo:lo + _BLOCK] = coeff
     return tuple(row.reshape(times.shape) for row in out)
+
+
+def _step_index(bounds, tp):
+    """Index of the step containing each 0 <= t' of the array ``tp``: the
+    number of interior boundaries ``bounds[1:-1]`` at or below t'.  A t' on
+    a boundary opens the next step; one beyond T stays in the last."""
+    idx = np.zeros(tp.shape, dtype=np.intp)
+    for edge in bounds[1:-1]:
+        idx += tp >= edge
+    return idx
 
 
 def _intra_block(sequence, starts, tp):
@@ -257,8 +281,7 @@ def _intra_block(sequence, starts, tp):
     b = np.empty_like(tp)
     c = np.empty_like(tp)
     d = np.empty_like(tp)
-    idx = np.searchsorted(bounds, tp, side="right") - 1
-    np.clip(idx, 0, len(sequence.steps) - 1, out=idx)
+    idx = _step_index(bounds, tp)
     for k, (step, prefix) in enumerate(zip(sequence.steps, starts)):
         sel = idx == k
         if sel.any():

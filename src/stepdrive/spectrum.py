@@ -37,7 +37,7 @@ from .core import (
     SpectralModel,
 )
 from .effective import effective_hamiltonian
-from .propagator import _combine, _window_starts, rotate
+from .propagator import _combine, _step_index, _window_starts, rotate
 
 # denominators |probe +/- 2 E_n| below this are treated as exactly resonant
 _DEGENERATE_TOL = 1e-10
@@ -297,7 +297,7 @@ def piecewise_evaluate(sequence, coeffs, times):
     flat = times.ravel()
     k = np.minimum(np.floor(flat / period), n_periods - 1).astype(int)
     tprime = flat - k * period
-    windows = np.searchsorted(sequence.boundaries[1:-1], tprime, side="right")
+    windows = _step_index(sequence.boundaries, tprime)
     tones = _window_tones(sequence, windows, tprime)
     return np.einsum("mu,mu->m", tones, coeffs[windows, :, k]).reshape(times.shape)
 

@@ -407,6 +407,25 @@ def test_scan_marks_failed_cells_nan(tmp_path, capsys):
     assert math.isnan(float(lines[1].split(",")[1]))
 
 
+def test_scan_counts_nan_cells_by_reason_on_stderr(tmp_path, capsys):
+    # the README's 2-D grid: the empirical model refuses every drive whose
+    # first step is detuned, and stderr says why in one line per reason
+    path = write_config(tmp_path, PAIR_CONFIG)
+    assert cli.main(
+        ["scan", path, "--vary", "delta1=0:10:11", "--vary", "tau2=0.1:2:20"]
+    ) == 0
+    out, err = capsys.readouterr()
+    metric = [float(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]]
+    assert len(metric) == 220 and sum(map(math.isnan, metric)) == 200
+    assert err.splitlines() == [
+        "stepdrive: scan: 200 of 220 cells are nan: effective detuning too large "
+        "for the empirical model: |delta_eff|*T = N"
+    ]
+    # a grid with no nan cell prints nothing on stderr
+    assert cli.main(["scan", path, "--vary", "delta2=30:50:5", "--metric", "omega_eff"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_scan_rejects_bad_axes(tmp_path, capsys):
     path = write_config(tmp_path, PAIR_CONFIG)
     assert cli.main(["scan", path, "--vary", "gamma2=0:1:3"]) == 1

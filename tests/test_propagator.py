@@ -22,7 +22,14 @@ from stepdrive import (
     transition_probability,
 )
 from stepdrive.oracle import brute_force_evolve
-from stepdrive.propagator import _BLOCK, _power_factors, _split_time, _window_starts
+from stepdrive.propagator import (
+    _BLOCK,
+    _combine,
+    _power_factors,
+    _split_time,
+    _window_starts,
+    rotate,
+)
 
 from helpers import coeffs_from_unitary, detuned_pair, mp_period_propagator, random_sequence
 
@@ -331,6 +338,73 @@ def test_evolve_many_blocks_give_the_same_bits():
     for i in edges + list(range(0, count, 211)):
         alone = evolve_many(seq, times[i:i + 1])
         assert tuple(x[i, 0] for x in arrays) == tuple(x[0] for x in alone)
+
+
+def searchsorted_evolve_many(sequence, times):
+    """The evolve_many kernel with the power factors taken per time and the
+    step found by searchsorted, the reference for the run-wise kernel."""
+    ts = np.asarray(times, dtype=float)
+    starts, per = _window_starts(sequence)
+    bounds = sequence.boundaries
+    n_per, tp = _split_time(ts, sequence.period)
+    idx = np.searchsorted(bounds, tp, side="right") - 1
+    np.clip(idx, 0, len(sequence.steps) - 1, out=idx)
+    inner = [np.empty_like(tp) for _ in range(4)]
+    for k, (step, prefix) in enumerate(zip(sequence.steps, starts)):
+        sel = idx == k
+        phase = step.energy * (tp[sel] - bounds[k])
+        for row, x in zip(inner, rotate(prefix, np.cos(phase), np.sin(phase), step.axis)):
+            row[sel] = x
+    cos_n, ratio = _power_factors(per, n_per)
+    return _combine(inner, per, cos_n, ratio)
+
+
+@st.composite
+def edge_drives(draw):
+    # 1, 2, 8 or 32 log-uniform steps, maybe ending on a null step, with
+    # U(T) on either side of a = 0
+    n = draw(st.sampled_from([1, 2, 8, 32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps, dmag, taus = np.exp(rng.uniform(math.log(0.01), math.log(100.0), (3, n)))
+    deltas = dmag * rng.choice([-1.0, 1.0], n)
+    thetas = rng.uniform(-math.pi, math.pi, n)
+    if n > 1 and draw(st.booleans()):
+        eps[-1] = deltas[-1] = 0.0
+    seq = PulseSequence.from_arrays(deltas, eps, thetas, taus)
+    if (period_propagator(seq).a < 0.0) != draw(st.booleans()):
+        # half a turn more in step 1 negates U(T)
+        taus[0] += math.pi / seq.steps[0].energy
+        seq = PulseSequence.from_arrays(deltas, eps, thetas, taus)
+    return seq
+
+
+@seed(13)
+@settings(deadline=None, max_examples=40)
+@given(
+    seq=edge_drives(),
+    periods=st.floats(1.0, 1000.0),
+    order=st.sampled_from(["sorted", "reversed", "shuffled", "repeated"]),
+    shuffle_seed=st.integers(0, 2**32 - 1),
+)
+def test_evolve_many_matches_searchsorted_kernel_bit_for_bit(seq, periods, order, shuffle_seed):
+    # runs of equal period counts and the edge-count step index change no
+    # bit: a grid longer than a block, whole periods and step edges with
+    # their neighbouring floats, in every order
+    period = seq.period
+    edges = (np.arange(4.0)[:, None] * period + seq.boundaries).ravel()
+    edges = np.concatenate([
+        edges, np.nextafter(edges, math.inf), np.maximum(np.nextafter(edges, -math.inf), 0.0)
+    ])
+    times = np.concatenate([np.linspace(0.0, periods * period, _BLOCK + 4096), edges])
+    if order == "reversed":
+        times = times[::-1]
+    elif order == "shuffled":
+        times = np.random.default_rng(shuffle_seed).permutation(times)
+    elif order == "repeated":
+        times = np.repeat(times[::3], 3)
+    got = evolve_many(seq, times)
+    want = searchsorted_evolve_many(seq, times)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_evolve_many_preserves_shape():

@@ -26,7 +26,8 @@ from stepdrive import (
     write_csv,
 )
 from stepdrive.oracle import numeric_fourier
-from stepdrive.spectrum import _aligned_signal, _aligned_times
+from stepdrive.propagator import _step_index
+from stepdrive.spectrum import _aligned_signal, _aligned_times, _window_tones
 
 from helpers import (
     large_phase_drive,
@@ -109,6 +110,27 @@ def test_piecewise_model_reconstructs_any_step_count(seq):
     assert np.max(np.abs(got - exact)) < 1e-12
     # any shape of times comes back in that shape
     assert piecewise_evaluate(seq, coeffs, times[:6].reshape(2, 3)).shape == (2, 3)
+
+
+def test_piecewise_evaluate_windows_match_searchsorted_at_edges():
+    # every step edge of every period, with the floats on either side, up to
+    # t = K*T: the window is the count of interior edges at or below t'
+    seq = PulseSequence.from_arrays([1.0, 0.0, -3.0, 20.0], [1.0, 0.0, 2.0, 0.5],
+                                    [0.0, 0.0, 0.5, -1.0], [0.8, 0.6, 0.3, 1e-3])
+    K = 3
+    period = seq.period
+    end = K * period
+    coeffs = piecewise_coefficients(seq, K)
+    edges = (np.arange(K)[:, None] * period + seq.boundaries).ravel()
+    times = np.clip(np.concatenate([
+        edges, np.nextafter(edges, math.inf), np.nextafter(edges, -math.inf)
+    ]), 0.0, end)
+    k = np.minimum(np.floor(times / period), K - 1).astype(int)
+    tprime = times - k * period
+    windows = np.searchsorted(seq.boundaries[1:-1], tprime, side="right")
+    assert np.array_equal(_step_index(seq.boundaries, tprime), windows)
+    want = np.einsum("mu,mu->m", _window_tones(seq, windows, tprime), coeffs[windows, :, k])
+    assert np.array_equal(piecewise_evaluate(seq, coeffs, times), want)
 
 
 def test_aligned_signal_matches_the_propagator_on_its_grid():
