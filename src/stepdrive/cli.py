@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from .core import PulseSequence
-from .effective import effective_hamiltonian, effective_with_jump, jump_sequence
+from .effective import effective_hamiltonian, jump_sequence
 from .phenomena import beat_prediction, classify, design_manipulation
 from .propagator import evolve_many
 from .spectrum import (
@@ -46,8 +46,9 @@ _CONFIG_KEYS = ("delta", "epsilon", "theta", "tau")
 # upper bound of `scan --jobs`, the number of worker processes
 _MAX_JOBS = 64
 
-# upper bound of the `propagate --tgrid` points and of the `scan` cells, so
-# that a mistyped count fails at once instead of exhausting memory
+# upper bound of the `propagate --tgrid` points, the `scan` cells, the
+# `spectrum` probes and the `classify --max-index` search, so that a
+# mistyped count fails at once instead of exhausting memory or hanging
 _MAX_POINTS = 1_000_000
 
 # rows formatted per write, so a long grid never holds all its row strings
@@ -183,13 +184,8 @@ def cmd_propagate(args):
 
 
 def cmd_heff(args):
-    sequence = read_config(args.config)
-    if args.jump_lambda is not None:
-        heff = effective_with_jump(
-            sequence, args.jump_lambda, args.jump_step, branch=args.branch
-        )
-    else:
-        heff = effective_hamiltonian(sequence, branch=args.branch)
+    sequence = _apply_jump(read_config(args.config), args)
+    heff = effective_hamiltonian(sequence, branch=args.branch)
     for name, value in (
         ("delta_eff", heff.delta_eff),
         ("epsilon_eff", heff.epsilon_eff),
@@ -206,6 +202,8 @@ def cmd_heff(args):
 def cmd_spectrum(args):
     sequence = read_config(args.config)
     l_range = (args.lmin, args.lmax)
+    # two probes per index, each projected on every window
+    _check_points(2 * (args.lmax - args.lmin + 1), "--lmin/--lmax")
     if len(sequence.steps) == 2:
         model = fourier_closed_form_two_step(sequence, l_range, K=args.periods)
     else:
@@ -223,6 +221,7 @@ def cmd_spectrum(args):
 
 def cmd_classify(args):
     sequence = read_config(args.config)
+    _check_points(args.max_index, "--max-index")
     report = classify(sequence, tol=args.tol, max_index=args.max_index)
     for line in report.lines():
         print(line)

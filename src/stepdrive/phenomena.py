@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import BeatPrediction, PulseSequence, validate
 from .effective import effective_hamiltonian
-from .propagator import period_propagator, rotate, step_propagator
+from .propagator import period_propagator, step_propagator
 from .spectrum import _aligned_signal, fourier_numeric
 
 # dynamical-phase tolerance when recognizing quarter- and half-cycle pulses
@@ -382,7 +382,8 @@ def _closed_form_root(sequence, field):
     """Root of b(T) in step 2's duration or phase; None if there is none.
 
     U(T) = U_2 U_1, so with g the b of U_1 and of its unit turns about the
-    three axes, b(T) = cos(phi) g_0 + sin(phi) (axis . g), phi = E_2 tau_2.
+    three axes, g_0 = b and (g_x, g_y, g_z) = (c, -d, a) of U_1,
+    b(T) = cos(phi) g_0 + sin(phi) (axis . g), phi = E_2 tau_2.
     The duration root is the first zero at phi >= 1e-9 E_2.  The axis is
     linear in (1, cos theta_2, sin theta_2): b(T) = A + B cos + C sin, and
     the smaller of its two zeros in [-pi, pi] is the phase root.  A null
@@ -393,7 +394,7 @@ def _closed_form_root(sequence, field):
     if energy == 0.0:
         return None
     first = step_propagator(step1, step1.tau)
-    gx, gy, gz = (rotate(first, 0.0, 1.0, e)[1] for e in np.eye(3).tolist())
+    gx, gy, gz = first.c, -first.d, first.a
     if field == "durations":
         ax, ay, az = step2.axis
         phi = math.atan2(-first.b, ax * gx + ay * gy + az * gz) % math.pi

@@ -1,13 +1,15 @@
 """Closed-form propagators for periodic N-step driving.
 
-A single constant segment rotates the Bloch vector about its field axis;
-segments compose through a four-term real recursion on the SU(2)
-coefficients (a, b, c, d).  Whole periods enter through a Chebyshev-style
-power identity in the per-period rotation angle Theta of U(T), so the cost
-of the propagator at t' + script_N * T does not grow with the period count
-script_N.  On a time array, each time costs one cos/sin pair for its
-rotation inside the current step plus N comparisons to find that step, and
-the power factors are computed once per run of times with equal script_N.
+A single constant segment rotates the Bloch vector about its field axis.
+Every composition is one SU(2) product on the coefficients (a, b, c, d),
+:func:`rotate`, taken on one of two sides: a segment acts from the left on
+the propagator accumulated so far, and whole periods act from the right on
+the intra-period propagator through a Chebyshev-style power identity in
+the per-period rotation angle Theta of U(T), so the cost of the propagator
+at t' + script_N * T does not grow with the period count script_N.  On a
+time array, each time costs one cos/sin pair for its rotation inside the
+current step plus N comparisons to find that step, and the power factors
+are computed once per run of times with equal script_N.
 
 The power identity needs cos(script_N*Theta) and the ratio
 sin(script_N*Theta)/sin(Theta).  Theta is read with atan2 from the whole
@@ -43,37 +45,43 @@ def step_propagator(step, s):
     -------
     PropagatorCoeffs
         a = cos(E s), (b, c, d) = (z, y, x) components of the field axis
-        times sin(E s), with E the segment energy.
+        times sin(E s), with E the segment energy: the left-side product of
+        :func:`rotate` on the identity.
     """
     return compose(PropagatorCoeffs.identity(), step, s)
 
 
-def rotate(left, cn, sn, axis):
-    """The bilinear composition update shared by every propagator path.
+def rotate(left, cn, sn, axis, side=1):
+    """The one SU(2) product behind every propagator path.
 
-    Returns the (a, b, c, d) of U @ U_left as a plain tuple, where U is the
-    rotation with cos(E s) = cn and sin(E s) = sn about the unit ``axis``
-    (ax, ay, az).  The entries of ``left``, ``cn``, ``sn`` and the axis
-    components may be floats or broadcastable arrays; the operation order
-    per coefficient is fixed, so scalar and array callers get the same bits
-    from the same inputs.
+    Returns, as a plain tuple, the (a, b, c, d) of R @ U_left for ``side``
+    = 1 and of U_left @ R for ``side`` = -1, where R has the coefficients
+    (cn, sn az, sn ay, sn ax): a turn about the unit ``axis`` (ax, ay, az).
+    Segments act from the left (cn, sn = cos, sin of E s, the field axis),
+    whole periods from the right (cn = cos(n Theta), sn = sin(n Theta) /
+    sin(Theta), the axis (d, c, b) of U(T)).  The side negates the axis
+    only in the three cross terms of each coefficient, w = side * axis;
+    negation is exact, so each side rounds as its own expanded product
+    would, signed zeros included.  Operands may be floats or broadcastable
+    arrays; scalar and array callers get the same bits from the same inputs.
     """
     a, b, c, d = left
     ax, ay, az = axis
+    wx, wy, wz = side * ax, side * ay, side * az
     return (
         a * cn - (d * ax + c * ay + b * az) * sn,
-        b * cn + (c * ax - d * ay + a * az) * sn,
-        c * cn + (-b * ax + a * ay + d * az) * sn,
-        d * cn + (a * ax + b * ay - c * az) * sn,
+        b * cn + (c * wx - d * wy + a * az) * sn,
+        c * cn + (-b * wx + a * ay + d * wz) * sn,
+        d * cn + (a * ax + b * wy - c * wz) * sn,
     )
 
 
 def compose(left, step, s):
     """Apply a segment rotation on top of an existing propagator.
 
-    Returns the coefficients of U_step(s) @ U_left.  This is the
-    elementary recursion: each new segment mixes (a, b, c, d) through
-    fixed bilinear combinations with the segment axis (see :func:`rotate`).
+    Returns the coefficients of U_step(s) @ U_left, the left-side product
+    of :func:`rotate` with the segment axis; the power identity of
+    :func:`evolve_many` is the same product on the right.
 
     Parameters
     ----------
@@ -129,20 +137,6 @@ def period_propagator(sequence):
     return intra_period(sequence, sequence.period)
 
 
-def _combine(inner, per, cos_n, ratio):
-    # power identity: U(t' + nT) from U(t'), U(T), cos(n*Theta) and
-    # sin(n*Theta)/sin(Theta); linear in `inner`, so it also serves the
-    # spectral module with array-valued factors
-    aw, bw, cw, dw = inner
-    ap, bp, cp, dp = per
-    return PropagatorCoeffs(
-        aw * cos_n - (dw * dp + cw * cp + bw * bp) * ratio,
-        bw * cos_n + (-cw * dp + dw * cp + aw * bp) * ratio,
-        cw * cos_n + (bw * dp + aw * cp - dw * bp) * ratio,
-        dw * cos_n + (aw * dp - bw * cp + cw * bp) * ratio,
-    )
-
-
 def _power_factors(per, ns):
     """cos(n*Theta) and sin(n*Theta)/sin(Theta) for the rotation U(T) = per.
 
@@ -152,7 +146,7 @@ def _power_factors(per, ns):
     cos(n*Theta) = (-1)**n cos(n*s) and sin(n*Theta) = (-1)**(n+1) sin(n*s),
     so a Theta near pi is never rounded to a float before it is multiplied
     by n.  A null rotation, U(T) = +/-1, has s = 0 and gets the ratio 0,
-    which _combine multiplies by zeros.
+    which :func:`rotate` multiplies by zeros.
     """
     sin_theta = math.hypot(per.b, per.c, per.d)
     ang = math.atan2(sin_theta, abs(per.a))
@@ -253,9 +247,11 @@ def evolve_many(sequence, times):
         cuts = np.flatnonzero(np.concatenate(([True], n_per[1:] != n_per[:-1], [True])))
         lengths = np.diff(cuts)
         cos_n, ratio = _power_factors(per, n_per[cuts[:-1]])
-        block = _combine(
-            _intra_block(sequence, starts, tp), per,
+        # U(t') U(T)**n, the power identity
+        block = rotate(
+            _intra_block(sequence, starts, tp),
             np.repeat(cos_n, lengths), np.repeat(ratio, lengths),
+            (per.d, per.c, per.b), -1,
         )
         for row, coeff in zip(out, block):
             row[lo:lo + _BLOCK] = coeff
@@ -265,8 +261,10 @@ def evolve_many(sequence, times):
 def _step_index(bounds, tp):
     """Index of the step containing each 0 <= t' of the array ``tp``: the
     number of interior boundaries ``bounds[1:-1]`` at or below t'.  A t' on
-    a boundary opens the next step; one beyond T stays in the last."""
-    idx = np.zeros(tp.shape, dtype=np.intp)
+    a boundary opens the next step; one beyond T stays in the last.  The
+    counts are kept in the smallest unsigned type that holds N - 1, since
+    adding a bool array into an intp one costs more than the comparison."""
+    idx = np.zeros(tp.shape, dtype=np.min_scalar_type(len(bounds) - 2))
     for edge in bounds[1:-1]:
         idx += tp >= edge
     return idx

@@ -37,7 +37,7 @@ from .core import (
     SpectralModel,
 )
 from .effective import effective_hamiltonian
-from .propagator import _combine, _step_index, _window_starts, rotate
+from .propagator import _step_index, _window_starts, rotate
 
 # denominators |probe +/- 2 E_n| below this are treated as exactly resonant
 _DEGENERATE_TOL = 1e-10
@@ -154,14 +154,15 @@ def _line_table(sequence):
     sin_theta = math.hypot(per.b, per.c, per.d)
     theta = per.angle if sin_theta > 0.0 else 0.0
     turn = math.copysign(2.0 * math.atan2(sin_theta, abs(per.a)), per.a)
-    # (c, d) of X, X G, Y, Y G for every window; _combine(X, U(T), 0, r)
-    # is r * X (U(T) - a), so a null rotation takes r = 0 and no G part
+    # (c, d) of X, X G, Y, Y G for every window; X G is X (U(T) - a) r,
+    # the product on the right with cosine 0 and sine r about (d, c, b) of
+    # U(T), so a null rotation takes r = 0 and no G part
     ratio = 1.0 / sin_theta if sin_theta > 0.0 else 0.0
     rows = []
     for prefix, step in zip(starts, sequence.steps):
         for left in (prefix, rotate(prefix, 0.0, 1.0, step.axis)):
-            turned = _combine(left, per, 0.0, ratio)
-            rows += [(left[2], left[3]), (turned.c, turned.d)]
+            turned = rotate(left, 0.0, ratio, (per.d, per.c, per.b), -1)
+            rows += [(left[2], left[3]), turned[2:]]
     m = np.array(rows).reshape(len(starts), 2, 2, 2).transpose(0, 3, 1, 2)
     tables = np.einsum("upq,njqr,vrs,njps->nuv", _PAIR, m, _PAIR, m)
     return tables, theta, turn
@@ -391,11 +392,6 @@ def two_step_empirical_model(sequence, p=None):
     comps = [c for c in comps if abs(c.amplitude) > 1e-15]
     comps.sort(key=lambda comp: -comp.amplitude)
     return SpectralModel(0.5, tuple(comps))
-
-
-def _aligned_times(sequence, t_end, per_step):
-    """Boundary-aligned sample times on [0, t_end], >= per_step per step."""
-    return _aligned_signal(sequence, t_end, per_step)[0]
 
 
 def _aligned_signal(sequence, t_end, per_step):

@@ -60,18 +60,28 @@ def random_sequence(rng, max_steps=8, lo=0.01, hi=100.0):
     return PulseSequence.from_arrays(deltas, eps, thetas, taus)
 
 
-def mp_period_propagator(seq):
-    """U(T) composed in mpmath at the working precision from the float step
-    fields, in the library's recursion order; no null steps."""
-    one = mpmath.mpf(1)
-    a, b, c, d = one, 0 * one, 0 * one, 0 * one
+def mp_propagator(seq, periods=1, offset=0.0):
+    """(a, b, c, d) of U(periods*T + offset) composed in mpmath at the
+    working precision from the float step fields: ``periods`` full periods,
+    then the steps up to the exact ``offset`` < T into the next one, each
+    segment applied on the left in the library's recursion order.  The
+    default is U(T).  No null steps."""
+    zero = mpmath.mpf(0)
+    a, b, c, d = mpmath.mpf(1), zero, zero, zero
+    spans = [step.tau for step in seq.steps] * periods
+    rest = mpmath.mpf(offset)
     for step in seq.steps:
-        delta, eps, theta, tau = (mpmath.mpf(x) for x in step)
+        spans.append(min(mpmath.mpf(step.tau), rest))
+        rest -= mpmath.mpf(step.tau)
+    for step, s in zip(seq.steps * (periods + 1), spans):
+        if s <= 0:
+            break
+        delta, eps, theta, _ = (mpmath.mpf(x) for x in step)
         energy = mpmath.sqrt(eps**2 + delta**2 / 4)
         ax = eps * mpmath.cos(theta) / energy
         ay = eps * mpmath.sin(theta) / energy
         az = delta / 2 / energy
-        cn, sn = mpmath.cos(energy * tau), mpmath.sin(energy * tau)
+        cn, sn = mpmath.cos(energy * s), mpmath.sin(energy * s)
         a, b, c, d = (
             a * cn - (d * ax + c * ay + b * az) * sn,
             b * cn + (c * ax - d * ay + a * az) * sn,

@@ -32,7 +32,7 @@ from stepdrive import (
     validate,
 )
 from stepdrive.oracle import brute_force_evolve, envelope_extract
-from stepdrive.spectrum import _aligned_times
+from stepdrive.spectrum import _aligned_signal
 
 from helpers import detuned_pair, quarter_cycle_sequence, resonant_plus_detuned
 
@@ -131,7 +131,7 @@ def test_jump_family_envelopes_follow_the_effective_drive():
         seq = jump_sequence(base, lam)
         envelope_period = math.pi / heff.omega_eff
         n_periods = int(math.ceil(10.0 * envelope_period / seq.period))
-        times = _aligned_times(seq, n_periods * seq.period, per_step)[1:]
+        times = _aligned_signal(seq, n_periods * seq.period, per_step)[0][1:]
         probs = transition_probabilities(seq, times)
         model_step = DriveStep(heff.delta_eff, heff.epsilon_eff, heff.theta_eff, 1.0)
         model = np.array(
@@ -251,7 +251,7 @@ def test_many_step_beat_models_meet_their_bounds():
 def test_phase_metrology_round_trip_recovers_the_phase():
     for theta2 in (0.0, math.pi / 8, math.pi / 6, math.pi / 4, math.pi / 3):
         seq = resonant_plus_detuned(theta2=theta2)
-        times = _aligned_times(seq, 400.0 * seq.period, 8)
+        times = _aligned_signal(seq, 400.0 * seq.period, 8)[0]
         probs = transition_probabilities(seq, times)
         fit = envelope_extract(times, probs)
         candidates = phase_from_beat(fit.omega_b, seq)
@@ -265,7 +265,7 @@ def test_opposed_phases_suppress_transitions_for_long_times():
     seq = PulseSequence.from_arrays(
         [0.0, 0.0], [1.0, 1.0], [0.0, math.pi], [0.05 * math.pi, 0.05 * math.pi]
     )
-    times = _aligned_times(seq, 100.0 * seq.period, 64)
+    times = _aligned_signal(seq, 100.0 * seq.period, 64)[0]
     assert float(transition_probabilities(seq, times).max()) < CDT_CEILING
 
 

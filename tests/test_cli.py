@@ -173,6 +173,42 @@ def test_grids_above_the_point_limit_exit_1_before_allocating(
     assert "the scan grid asks for %d points" % huge in capsys.readouterr().err
 
 
+def test_counts_above_the_point_limit_exit_1_before_evaluating(
+    tmp_path, capsys, monkeypatch
+):
+    # a probe list or a period-multiple search of a mistyped size would run
+    # out of memory or never end; both counts share the point limit
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be evaluated")
+
+    for name in ("fourier_closed_form_two_step", "fourier_numeric", "classify"):
+        monkeypatch.setattr(cli, name, refuse)
+    path = write_config(tmp_path, PAIR_CONFIG)
+    huge = 10**10
+    assert cli.main(["spectrum", path, "--lmin=-%d" % huge, "--lmax", "0"]) == 1
+    assert "--lmin/--lmax asks for %d points, more than the limit of %d" % (
+        2 * (huge + 1), cli._MAX_POINTS) in capsys.readouterr().err
+    assert cli.main(["spectrum", path, "--lmax", "%d" % huge]) == 1
+    assert "--lmin/--lmax asks for %d points" % (2 * (huge + 5)) in capsys.readouterr().err
+    assert cli.main(["classify", path, "--max-index", "%d" % huge]) == 1
+    assert "--max-index asks for %d points, more than the limit of %d" % (
+        huge, cli._MAX_POINTS) in capsys.readouterr().err
+
+
+def test_propagate_prints_the_signed_zeros_of_a_resonant_drive(tmp_path, capsys):
+    # resonant steps about x keep b = c = 0 exactly; the zero signs follow
+    # the products that compose them and are part of the output bytes
+    path = write_config(
+        tmp_path, "delta = 0, 0\nepsilon = 1, 0.5\ntheta = 0, 0\ntau = 1.0, 2.5\n"
+    )
+    assert cli.main(["propagate", path, "--tgrid", "0:20:11"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [str(2 * i) for i in range(11)]
+    for row in rows:
+        sign = "-0" if row[0] in ("8", "10") else "0"
+        assert row[3] == row[4] == sign
+
+
 def test_heff_report_matches_the_library(tmp_path, capsys):
     path = write_config(tmp_path, PAIR_CONFIG)
     seq = cli.read_config(path)
@@ -197,6 +233,9 @@ def test_heff_with_jump_matches_the_library(tmp_path, capsys):
     values = dict(line.split(" = ") for line in lines)
     assert float(values["epsilon_eff"]) == heff.epsilon_eff
     assert float(values["omega_eff"]) == heff.omega_eff
+    # a step outside 1..N is an input error
+    assert cli.main(["heff", path, "--jump-lambda", "0.33", "--jump-step", "0"]) == 1
+    assert "step index 0 outside 1..2" in capsys.readouterr().err
 
 
 def test_heff_branch_cut_is_a_numerical_error(tmp_path, capsys):

@@ -26,7 +26,7 @@ from stepdrive import (
 from stepdrive.phenomena import _FREE_FIELDS, _with_field
 from stepdrive.spectrum import _aligned_signal
 
-from helpers import mp_period_propagator, quarter_cycle_sequence, resonant_plus_detuned
+from helpers import mp_propagator, quarter_cycle_sequence, resonant_plus_detuned
 
 # frozen beat prediction of the resonant-plus-detuned pair
 RPD_OMEGA_B = 0.060583604204843544
@@ -473,7 +473,7 @@ def test_design_closed_form_is_the_first_root_of_the_search(
     # b(T) at the float root is zero to the rounding of its phase
     bound = 4.0 * 2.2e-16 * sum(1.0 + s.energy * s.tau for s in out.steps)
     with mpmath.workdps(40):
-        assert abs(float(mp_period_propagator(out)[1])) <= bound
+        assert abs(float(mp_propagator(out)[1])) <= bound
 
 
 def test_design_input_validation():

@@ -24,14 +24,13 @@ from stepdrive import (
 from stepdrive.oracle import brute_force_evolve
 from stepdrive.propagator import (
     _BLOCK,
-    _combine,
     _power_factors,
     _split_time,
     _window_starts,
     rotate,
 )
 
-from helpers import coeffs_from_unitary, detuned_pair, mp_period_propagator, random_sequence
+from helpers import coeffs_from_unitary, detuned_pair, mp_propagator, random_sequence
 
 ORACLE_TOL = 1e-11
 
@@ -318,7 +317,7 @@ def test_period_propagator_matches_mpmath():
         for _ in range(200):
             seq = random_sequence(rng)
             bound = 2.0 * 2.2e-16 * sum(1.0 + s.energy * s.tau for s in seq.steps)
-            want = mp_period_propagator(seq)
+            want = mp_propagator(seq)
             for got, exact in zip(period_propagator(seq), want):
                 assert abs(float(mpmath.mpf(got) - exact)) <= bound
 
@@ -340,9 +339,86 @@ def test_evolve_many_blocks_give_the_same_bits():
         assert tuple(x[i, 0] for x in arrays) == tuple(x[0] for x in alone)
 
 
+def left_product(left, cn, sn, axis):
+    # (cos + sin V) U_left expanded, V the turn about axis (ax, ay, az)
+    a, b, c, d = left
+    ax, ay, az = axis
+    return (
+        a * cn - (d * ax + c * ay + b * az) * sn,
+        b * cn + (c * ax - d * ay + a * az) * sn,
+        c * cn + (-b * ax + a * ay + d * az) * sn,
+        d * cn + (a * ax + b * ay - c * az) * sn,
+    )
+
+
+def power_product(inner, per, cos_n, ratio):
+    # U_inner (cos_n + ratio (U(T) - a)) expanded, the power identity
+    aw, bw, cw, dw = inner
+    _, bp, cp, dp = per
+    return (
+        aw * cos_n - (dw * dp + cw * cp + bw * bp) * ratio,
+        bw * cos_n + (-cw * dp + dw * cp + aw * bp) * ratio,
+        cw * cos_n + (bw * dp + aw * cp - dw * bp) * ratio,
+        dw * cos_n + (aw * dp - bw * cp + cw * bp) * ratio,
+    )
+
+
+def same_bits(got, want):
+    # equal values and equal zero signs, for floats or arrays
+    return all(
+        np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+        for g, w in zip(got, want)
+    )
+
+
+# operands of the product: signed zeros and units often, or a small array
+# of them to broadcast against scalars
+SIGNED = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-2.0, 2.0, allow_nan=False)
+)
+OPERAND = st.one_of(SIGNED, st.lists(SIGNED, min_size=3, max_size=3).map(np.array))
+
+
+@seed(17)
+@settings(deadline=None, max_examples=400)
+@given(
+    left=st.tuples(OPERAND, OPERAND, OPERAND, OPERAND),
+    cn=OPERAND,
+    sn=OPERAND,
+    axis=st.tuples(OPERAND, OPERAND, OPERAND),
+)
+def test_rotate_sides_match_the_expanded_products_bit_for_bit(left, cn, sn, axis):
+    # side 1 is the segment recursion, side -1 the power identity with the
+    # axis (d, c, b) of U(T); every bit agrees, the sign of a zero included
+    ax, ay, az = axis
+    assert same_bits(rotate(left, cn, sn, axis), left_product(left, cn, sn, axis))
+    assert same_bits(
+        rotate(left, cn, sn, axis, -1), power_product(left, (np.nan, az, ay, ax), cn, sn)
+    )
+
+
+@seed(19)
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1))
+def test_rotate_sides_are_the_two_matrix_products(draw_seed):
+    rng = np.random.default_rng(draw_seed)
+    q = rng.normal(size=4)
+    left = PropagatorCoeffs(*(q / np.linalg.norm(q)))
+    v = rng.normal(size=3)
+    ax, ay, az = v / np.linalg.norm(v)
+    angle = rng.uniform(-math.pi, math.pi)
+    cn, sn = math.cos(angle), math.sin(angle)
+    # R = cos + sin V, with (b, c, d) = sin (az, ay, ax)
+    turn = PropagatorCoeffs(cn, sn * az, sn * ay, sn * ax).as_matrix()
+    for side, want in ((1, turn @ left.as_matrix()), (-1, left.as_matrix() @ turn)):
+        got = PropagatorCoeffs(*rotate(left, cn, sn, (ax, ay, az), side)).as_matrix()
+        assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+
+
 def searchsorted_evolve_many(sequence, times):
-    """The evolve_many kernel with the power factors taken per time and the
-    step found by searchsorted, the reference for the run-wise kernel."""
+    """The evolve_many kernel with the power factors taken per time, the
+    step found by searchsorted and the two expanded products, the reference
+    for the run-wise kernel."""
     ts = np.asarray(times, dtype=float)
     starts, per = _window_starts(sequence)
     bounds = sequence.boundaries
@@ -353,10 +429,10 @@ def searchsorted_evolve_many(sequence, times):
     for k, (step, prefix) in enumerate(zip(sequence.steps, starts)):
         sel = idx == k
         phase = step.energy * (tp[sel] - bounds[k])
-        for row, x in zip(inner, rotate(prefix, np.cos(phase), np.sin(phase), step.axis)):
+        for row, x in zip(inner, left_product(prefix, np.cos(phase), np.sin(phase), step.axis)):
             row[sel] = x
     cos_n, ratio = _power_factors(per, n_per)
-    return _combine(inner, per, cos_n, ratio)
+    return power_product(inner, per, cos_n, ratio)
 
 
 @st.composite
@@ -404,7 +480,7 @@ def test_evolve_many_matches_searchsorted_kernel_bit_for_bit(seq, periods, order
         times = np.repeat(times[::3], 3)
     got = evolve_many(seq, times)
     want = searchsorted_evolve_many(seq, times)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert same_bits(got, want)
 
 
 def test_evolve_many_preserves_shape():

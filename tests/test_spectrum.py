@@ -27,10 +27,11 @@ from stepdrive import (
 )
 from stepdrive.oracle import numeric_fourier
 from stepdrive.propagator import _step_index
-from stepdrive.spectrum import _aligned_signal, _aligned_times, _window_tones
+from stepdrive.spectrum import _aligned_signal, _window_tones
 
 from helpers import (
     large_phase_drive,
+    mp_propagator,
     oracle_projection,
     quarter_cycle_sequence,
     random_sequence,
@@ -64,7 +65,7 @@ def test_piecewise_model_reconstructs_signal_exactly():
     K = 12
     coeffs = piecewise_coefficients(seq, K)
     assert coeffs.shape == (2, 3, K)
-    times = _aligned_times(seq, K * seq.period, 16)
+    times = _aligned_signal(seq, K * seq.period, 16)[0]
     exact = transition_probabilities(seq, times)
     got = piecewise_evaluate(seq, coeffs, times)
     assert np.max(np.abs(got - exact)) < 1e-12
@@ -102,7 +103,7 @@ def test_piecewise_model_reconstructs_any_step_count(seq):
     assert coeffs.shape == (len(seq.steps), 3, K)
     rng = np.random.default_rng(len(seq.steps))
     times = np.concatenate([
-        _aligned_times(seq, K * seq.period, 8),
+        _aligned_signal(seq, K * seq.period, 8)[0],
         rng.uniform(0.0, K * seq.period, 200),
     ])
     exact = transition_probabilities(seq, times)
@@ -143,33 +144,9 @@ def test_aligned_signal_matches_the_propagator_on_its_grid():
         periods = 40.0 if i % 2 else 17.0 + rng.uniform(0.05, 0.95)
         t_end = periods * seq.period
         times, got = _aligned_signal(seq, t_end, 16)
-        assert np.array_equal(times, _aligned_times(seq, t_end, 16))
         e_max = max(step.energy for step in seq.steps)
         bound = 2e-13 + 4.0 * e_max * math.ulp(t_end)
         assert np.max(np.abs(got - transition_probabilities(seq, times))) <= bound
-
-
-def _mp_probability(seq, k, offset):
-    # 40-digit P at the exact point k*T + offset: k full periods of the
-    # float step fields, then the steps up to the offset, composed with the
-    # recursion of propagator.rotate
-    u = (mpmath.mpf(1), 0, 0, 0)
-    spans = [step.tau for step in seq.steps] * k
-    rest = mpmath.mpf(offset)
-    for step in seq.steps:
-        spans.append(min(mpmath.mpf(step.tau), rest))
-        rest -= mpmath.mpf(step.tau)
-    for step, s in zip(seq.steps * (k + 1), spans):
-        if s <= 0:
-            break
-        delta, eps, theta, _ = (mpmath.mpf(x) for x in step)
-        energy = mpmath.sqrt(eps**2 + delta**2 / 4)
-        cn, sn = mpmath.cos(energy * s), mpmath.sin(energy * s) / energy
-        x, y, z = eps * mpmath.cos(theta) * sn, eps * mpmath.sin(theta) * sn, delta / 2 * sn
-        a, b, c, d = u
-        u = (a * cn - (d * x + c * y + b * z), b * cn + (c * x - d * y + a * z),
-             c * cn + (-b * x + a * y + d * z), d * cn + (a * x + b * y - c * z))
-    return u[2] ** 2 + u[3] ** 2
 
 
 def test_aligned_signal_matches_mpmath_at_the_grid_points():
@@ -195,7 +172,8 @@ def test_aligned_signal_matches_mpmath_at_the_grid_points():
             _, got = _aligned_signal(seq, 3.0 * seq.period + left, 4)
             assert len(points) == got.size
             for (k, offset), value in zip(points, got):
-                worst = max(worst, abs(float(value - _mp_probability(seq, k, offset))))
+                _, _, c, d = mp_propagator(seq, k, offset)
+                worst = max(worst, abs(float(value - (c**2 + d**2))))
     assert worst < 1e-13
 
 
@@ -445,7 +423,7 @@ def test_model_error_self_consistency():
 def test_aligned_times_hit_every_step_boundary():
     seq = resonant_plus_detuned()
     t_end = 2.0 * seq.period + 0.3 * seq.steps[0].tau
-    times = _aligned_times(seq, t_end, 4)
+    times = _aligned_signal(seq, t_end, 4)[0]
     assert times[0] == 0.0
     assert times[-1] <= t_end + 1e-12
     assert np.all(np.diff(times) > 0.0)
