@@ -2,6 +2,22 @@
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+# OpenBLAS starts one thread per core when numpy loads, and its idle threads
+# spin; no stepdrive product is large enough to gain from them, and the CLI
+# pays for the pool on every call.  The package __init__ is the first code
+# both `python -m stepdrive.cli` and the `stepdrive` script run, and the
+# `.core` import below is what loads numpy, so the request goes here.  It
+# is made only when numpy is not loaded yet (its pool would already exist)
+# and no OpenBLAS thread variable is set, so a caller's choice is kept.
+if "numpy" not in _sys.modules and not any(
+    _os.environ.get(name)
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .core import (
     BeatPrediction,
     BranchAmbiguityError,

@@ -18,7 +18,6 @@ branch-ambiguous effective Hamiltonian.
 
 import argparse
 import collections
-import concurrent.futures
 import itertools
 import math
 import os
@@ -204,6 +203,8 @@ def cmd_spectrum(args):
     l_range = (args.lmin, args.lmax)
     # two probes per index, each projected on every window
     _check_points(2 * (args.lmax - args.lmin + 1), "--lmin/--lmax")
+    if args.max_terms < 0:
+        raise ValueError("--max-terms must be non-negative, got %d" % (args.max_terms,))
     if len(sequence.steps) == 2:
         model = fourier_closed_form_two_step(sequence, l_range, K=args.periods)
     else:
@@ -311,6 +312,8 @@ def cmd_scan(args):
     if workers > 1:
         # about four chunks per worker, as multiprocessing.Pool.map sizes them
         chunk = -(-len(payloads) // (4 * workers))
+        import concurrent.futures  # only a parallel scan pays for it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_cell, payloads, chunksize=chunk))
     else:

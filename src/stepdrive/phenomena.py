@@ -89,14 +89,19 @@ def classify(sequence, tol=1e-3, max_index=64):
     ----------
     sequence : PulseSequence
     tol : float
-        Residual tolerance shared by all flags.
+        Residual tolerance shared by all flags; finite and positive.
     max_index : int
-        Largest period multiple searched for periodic/stepwise returns.
+        Largest period multiple searched for periodic/stepwise returns; at
+        least 1, since an empty search would report every return as absent.
 
     Returns
     -------
     PhenomenaReport
     """
+    if max_index < 1:
+        raise ValueError("max_index must be at least 1, got %r" % (max_index,))
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive, got %r" % (tol,))
     per = period_propagator(sequence)
     theta = per.angle
 

@@ -1,5 +1,6 @@
 """Config parsing, CLI subcommands, output formats, and exit codes."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -353,7 +354,7 @@ def test_scan_rejects_out_of_range_jobs_before_any_pool(tmp_path, capsys, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("no process pool may be built")
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     path = write_config(tmp_path, PAIR_CONFIG)
     args = ["scan", path, "--vary", "delta2=30:50:5", "--metric", "omega_eff"]
     for jobs in (0, -3, cli._MAX_JOBS + 1, 10**9):
@@ -373,7 +374,7 @@ def test_scan_rejects_out_of_range_jobs_before_any_pool(tmp_path, capsys, monkey
 )
 def test_scan_pool_gives_every_worker_cells(tmp_path, capsys, monkeypatch, cells, jobs, expected):
     monkeypatch.setattr(_SerialPool, "calls", [])
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     path = write_config(tmp_path, PAIR_CONFIG)
     args = ["scan", path, "--vary", "delta2=30:50:%d" % cells, "--metric", "omega_eff"]
     assert cli.main(args + ["--jobs", "1"]) == 0
@@ -529,43 +530,132 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["propagate", path, "--tgrid", "0:1:2", "--jump-lambda", "1.5"]
     ) == 1
     assert "must lie in [0, 1]" in capsys.readouterr().err
+    # an empty search, a tolerance nothing can meet or a negative term count
+    # is an input error, reported before any output
+    for argv, message in (
+        (["classify", path, "--max-index", "0"], "max_index must be at least 1"),
+        (["classify", path, "--max-index=-5"], "max_index must be at least 1"),
+        (["classify", path, "--tol", "nan"], "tol must be finite and positive"),
+        (["classify", path, "--tol=-1"], "tol must be finite and positive"),
+        (["classify", path, "--tol", "inf"], "tol must be finite and positive"),
+        (["spectrum", path, "--max-terms=-2"], "--max-terms must be non-negative"),
+    ):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
 
 
-# Runs in a fresh interpreter: reports the scipy modules loaded after the
-# import and after each request, with the exit codes.
-_SCIPY_PROBE = """
-import contextlib, io, json, sys
+# the variables OpenBLAS reads for its thread count, in its order
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _child_env(**preset):
+    """This environment without the BLAS thread variables, plus `preset`."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env.update(preset, PYTHONPATH=str(src))
+    return env
+
+
+# Runs in a fresh interpreter: reports OPENBLAS_NUM_THREADS and the thread
+# count right after the import, then the scipy and concurrent modules loaded
+# after the import and after each request, with the exit codes.
+_START_UP_PROBE = """
+import contextlib, io, json, os, sys
 import stepdrive.cli as cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def threads():
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("Threads:"):
+                    return int(line.split()[1])
+    except OSError:
+        return None
+
+def loaded():
+    return {
+        package: sorted(m for m in sys.modules if m.split(".")[0] == package)
+        for package in ("scipy", "concurrent")
+    }
 
 path = sys.argv[1]
-report = {"import": scipy_modules()}
+report = {
+    "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": threads(),
+    "exit": {},
+    "import": loaded(),
+}
 with contextlib.redirect_stdout(io.StringIO()):
     for name, argv in (
         ("heff", ["heff", path]),
         ("propagate", ["propagate", path, "--tgrid", "0:1:3"]),
         ("beat", ["beat", path]),
-        ("scan", ["scan", path, "--vary", "delta2=30:50:3", "--resolve-tau", "2"]),
+        ("scan", ["scan", path, "--vary", "delta2=30:50:3", "--resolve-tau", "2",
+                  "--jobs", "1"]),
     ):
-        report[name] = [cli.main(argv), scipy_modules()]
+        report["exit"][name] = cli.main(argv)
+        report[name] = loaded()
 print(json.dumps(report))
 """
 
+_REQUESTS = ("heff", "propagate", "beat", "scan")
 
-def test_no_cli_request_loads_scipy(tmp_path):
-    path = write_config(tmp_path, PAIR_CONFIG)
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+
+@pytest.fixture(scope="module")
+def start_up_report(tmp_path_factory):
+    path = write_config(tmp_path_factory.mktemp("probe"), PAIR_CONFIG)
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, path],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", _START_UP_PROBE, path],
+        env=_child_env(), capture_output=True, text=True, check=True,
     )
-    assert json.loads(proc.stdout) == {
-        "import": [],
-        "heff": [0, []],
-        "propagate": [0, []],
-        "beat": [0, []],
-        "scan": [0, []],
-    }
+    report = json.loads(proc.stdout)
+    assert report["exit"] == dict.fromkeys(_REQUESTS, 0)
+    return report
+
+
+def test_no_cli_request_loads_scipy(start_up_report):
+    for stage in ("import",) + _REQUESTS:
+        assert start_up_report[stage]["scipy"] == [], stage
+
+
+def test_cli_start_up_asks_for_one_blas_thread_and_no_process_pool(start_up_report):
+    assert start_up_report["blas"] == "1"
+    if sys.platform.startswith("linux"):
+        assert start_up_report["threads"] == 1
+    # only `scan --jobs` above 1 loads concurrent.futures
+    for stage in ("import",) + _REQUESTS:
+        assert start_up_report[stage]["concurrent"] == [], stage
+
+
+# Runs in a fresh interpreter: imports numpy first when asked, then
+# stepdrive, and reports the BLAS thread variables.
+_BLAS_ENV_PROBE = """
+import json, os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import stepdrive
+print(json.dumps({name: os.environ.get(name) for name in sys.argv[2:]}))
+"""
+
+
+@pytest.mark.parametrize(
+    "preset, order, expected",
+    [
+        ({"OMP_NUM_THREADS": "2"}, "stepdrive-first", {"OMP_NUM_THREADS": "2"}),
+        ({"OPENBLAS_NUM_THREADS": "2"}, "stepdrive-first", {"OPENBLAS_NUM_THREADS": "2"}),
+        ({"GOTO_NUM_THREADS": "2"}, "stepdrive-first", {"GOTO_NUM_THREADS": "2"}),
+        # an empty value asks for nothing
+        ({"OMP_NUM_THREADS": ""}, "stepdrive-first",
+         {"OMP_NUM_THREADS": "", "OPENBLAS_NUM_THREADS": "1"}),
+        # numpy's thread pool already exists; the environment is left alone
+        ({}, "numpy-first", {}),
+    ],
+)
+def test_blas_thread_default_keeps_a_callers_choice(preset, order, expected):
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_ENV_PROBE, order, *_BLAS_VARS],
+        env=_child_env(**preset), capture_output=True, text=True, check=True,
+    )
+    assert json.loads(proc.stdout) == {name: expected.get(name) for name in _BLAS_VARS}

@@ -87,6 +87,15 @@ def test_periodic_search_respects_max_index():
     assert report.stepwise.active and report.stepwise.index == 2
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"max_index": 0}, {"max_index": -5}, {"tol": math.nan},
+               {"tol": -1.0}, {"tol": 0.0}, {"tol": math.inf}],
+)
+def test_classify_rejects_an_empty_search_and_a_bad_tolerance(kwargs):
+    with pytest.raises(ValueError):
+        classify(resonant_plus_detuned(), **kwargs)
+
+
 def test_resonant_detuned_pair_flags_a_beat():
     report = classify(resonant_plus_detuned())
     assert report.beat.active
