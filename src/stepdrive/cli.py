@@ -292,15 +292,17 @@ def cmd_scan(args):
             raise ValueError(
                 "--vary step index %d out of range 1..%d" % (index, n_steps)
             )
-    if args.resolve_tau is not None and args.resolve_tau != 2:
-        raise ValueError("--resolve-tau currently supports only step 2")
-    if args.resolve_tau is not None and n_steps != 2:
-        raise ValueError("--resolve-tau needs a two-step sequence")
+    if args.resolve_tau not in (None, n_steps):
+        raise ValueError("--resolve-tau must name the last step, %d, got %d"
+                         % (n_steps, args.resolve_tau))
+    fields = [a[:2] for a in axes]
+    if ("tau", args.resolve_tau) in fields:
+        raise ValueError("--vary tau%d has no effect: --resolve-tau re-solves it"
+                         % (args.resolve_tau,))
     if not 1 <= args.jobs <= _MAX_JOBS:
         raise ValueError("--jobs must lie in 1..%d, got %d" % (_MAX_JOBS, args.jobs))
     _check_points(math.prod(a[2][2] for a in axes), "the scan grid")
 
-    fields = [a[:2] for a in axes]
     # row-major cells: the flat index runs fastest along the last axis
     grids = [np.linspace(*a[2]).tolist() for a in axes]
     payloads = [
@@ -417,7 +419,7 @@ def build_parser():
                         "(default 1)" % _MAX_JOBS)
     p.add_argument("--resolve-tau", type=int, default=None,
                    help="re-solve this step duration per cell so the "
-                        "effective detuning vanishes (step 2 only)")
+                        "effective detuning vanishes (the last step only)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("beat", help="beat prediction and model envelope")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import BeatPrediction, PulseSequence, validate
 from .effective import effective_hamiltonian
-from .propagator import period_propagator, step_propagator
+from .propagator import _window_starts, period_propagator
 from .spectrum import _aligned_signal, fourier_numeric
 
 # dynamical-phase tolerance when recognizing quarter- and half-cycle pulses
@@ -367,7 +367,7 @@ def complete_transition_time(eps1, eps2, tau1, tau2):
     return 0.5 * math.pi * (tau1 + tau2) / (eps1 * tau1 + eps2 * tau2)
 
 
-# free parameter of the design problems -> DriveStep field of step 2
+# free parameter of the design problems -> DriveStep field of the last step
 _FREE_FIELDS = {
     "detuning": "delta",
     "coupling": "epsilon",
@@ -379,36 +379,37 @@ _FREE_FIELDS = {
 def _with_field(sequence, field, value):
     if field not in _FREE_FIELDS:
         raise ValueError("unknown free parameter %r" % (field,))
-    step = sequence.steps[1]._replace(**{_FREE_FIELDS[field]: value})
-    return PulseSequence((sequence.steps[0], step))
+    *head, last = sequence.steps
+    return PulseSequence((*head, last._replace(**{_FREE_FIELDS[field]: value})))
 
 
 def _closed_form_root(sequence, field):
-    """Root of b(T) in step 2's duration or phase; None if there is none.
+    """Root of b(T) in the last step's duration or phase; None if there is none.
 
-    U(T) = U_2 U_1, so with g the b of U_1 and of its unit turns about the
-    three axes, g_0 = b and (g_x, g_y, g_z) = (c, -d, a) of U_1,
-    b(T) = cos(phi) g_0 + sin(phi) (axis . g), phi = E_2 tau_2.
-    The duration root is the first zero at phi >= 1e-9 E_2.  The axis is
-    linear in (1, cos theta_2, sin theta_2): b(T) = A + B cos + C sin, and
+    U(T) = U_N P, with P the product of the earlier steps (1 for N = 1).
+    With g the b of P and of its unit turns about the three axes, g_0 = b
+    and (g_x, g_y, g_z) = (c, -d, a) of P,
+    b(T) = cos(phi) g_0 + sin(phi) (axis . g), phi = E_N tau_N.
+    The duration root is the first zero at phi >= 1e-9 E_N.  The axis is
+    linear in (1, cos theta_N, sin theta_N): b(T) = A + B cos + C sin, and
     the smaller of its two zeros in [-pi, pi] is the phase root.  A null
-    step 2 (E_2 = 0) leaves b(T) fixed and has no root.
+    last step (E_N = 0) leaves b(T) fixed and has no root.
     """
-    step1, step2 = sequence.steps
-    energy = step2.energy
+    last = sequence.steps[-1]
+    energy = last.energy
     if energy == 0.0:
         return None
-    first = step_propagator(step1, step1.tau)
-    gx, gy, gz = first.c, -first.d, first.a
+    (*_, prefix), _ = _window_starts(sequence)
+    gx, gy, gz = prefix.c, -prefix.d, prefix.a
     if field == "durations":
-        ax, ay, az = step2.axis
-        phi = math.atan2(-first.b, ax * gx + ay * gy + az * gz) % math.pi
+        ax, ay, az = last.axis
+        phi = math.atan2(-prefix.b, ax * gx + ay * gy + az * gz) % math.pi
         if phi < 1e-9 * energy:
             phi += math.pi
         return phi / energy
-    cn, sn = math.cos(energy * step2.tau), math.sin(energy * step2.tau)
-    const = cn * first.b + sn * (0.5 * step2.delta / energy) * gz
-    turn = sn * step2.epsilon / energy
+    cn, sn = math.cos(energy * last.tau), math.sin(energy * last.tau)
+    const = cn * prefix.b + sn * (0.5 * last.delta / energy) * gz
+    turn = sn * last.epsilon / energy
     amp = math.hypot(turn * gx, turn * gy)
     # |A| >= hypot(B, C) leaves no sign change, only a tangent zero
     if not abs(const) < amp:
@@ -419,28 +420,29 @@ def _closed_form_root(sequence, field):
 
 
 def design_manipulation(sequence, target, free_parameter):
-    """Tune one field of the second step to reach a target phenomenon.
+    """Tune one field of the last step to reach a target phenomenon.
 
-    target = 'cdt' freezes the population: it requires resonant steps and
-    sets the second phase opposite to the first with matched pulse areas,
-    adjusting the requested free parameter (phase, coupling, or
-    durations).
+    target = 'cdt' freezes the population of a two-step drive: it requires
+    resonant steps and sets the second phase opposite to the first with
+    matched pulse areas, adjusting the requested free parameter (phase,
+    coupling, or durations).
 
     target = 'complete_transition' zeroes the b coefficient of the period
-    propagator by tuning the free parameter (detuning, coupling, phase, or
-    durations); a sequence already satisfying the target is returned
-    unchanged.  Durations and phase have closed-form roots (see
-    :func:`_closed_form_root`): the first duration root, and the smaller
-    of the two phase roots in [-pi, pi].  Detuning and coupling enter
-    through the step energy and have none: their root is bracketed by the
-    first sign change of b on a 2048-point grid and refined by brentq,
-    which imports scipy.optimize.  A ValueError reports a target with no
-    root.
+    propagator U(T) = U_N P of N steps by tuning the free parameter
+    (detuning, coupling, phase, or durations) of step N; a sequence
+    already satisfying the target is returned unchanged.  Durations and
+    phase have closed-form roots (see :func:`_closed_form_root`): the
+    first duration root, and the smaller of the two phase roots in
+    [-pi, pi].  Detuning and coupling enter through the step energy and
+    have none: their root is bracketed by the first sign change of b on a
+    2048-point grid, scaled by the largest |delta| or epsilon, and refined
+    by brentq, which imports scipy.optimize.  A ValueError reports a
+    target with no root.
 
     Parameters
     ----------
     sequence : PulseSequence
-        Two steps; the first is left untouched.
+        All steps but the last are left untouched.
     target : {'cdt', 'complete_transition'}
     free_parameter : {'detuning', 'coupling', 'phase', 'durations'}
 
@@ -448,11 +450,10 @@ def design_manipulation(sequence, target, free_parameter):
     -------
     PulseSequence
     """
-    if len(sequence.steps) != 2:
-        raise ValueError("design operates on two-step sequences")
-    step1, step2 = sequence.steps
-
     if target == "cdt":
+        if len(sequence.steps) != 2:
+            raise ValueError("cdt design operates on two-step sequences")
+        step1, step2 = sequence.steps
         if abs(step1.delta) > 1e-12 or abs(step2.delta) > 1e-12:
             raise ValueError("cdt design requires resonant steps (delta = 0)")
         opposite = step1.theta + math.pi
@@ -482,17 +483,16 @@ def design_manipulation(sequence, target, free_parameter):
     if target == "complete_transition":
         if free_parameter not in _FREE_FIELDS:
             raise ValueError("unknown free parameter %r" % (free_parameter,))
-
-        def residual(x):
-            return period_propagator(_with_field(sequence, free_parameter, x)).b
-
-        if abs(residual(getattr(step2, _FREE_FIELDS[free_parameter]))) < 1e-12:
+        if abs(period_propagator(sequence).b) < 1e-12:
             return sequence
 
         if free_parameter in ("durations", "phase"):
             root = _closed_form_root(sequence, free_parameter)
         else:
-            scale = max(abs(step2.delta), step1.epsilon, step2.epsilon, abs(step1.delta))
+            def residual(x):
+                return period_propagator(_with_field(sequence, free_parameter, x)).b
+
+            scale = max(max(abs(s.delta), s.epsilon) for s in sequence.steps)
             lo, hi = (-10.0, 10.0) if free_parameter == "detuning" else (1e-6, 20.0)
             grid = np.linspace(lo * scale, hi * scale, 2048)
             sign = np.sign([residual(x) for x in grid])

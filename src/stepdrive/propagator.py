@@ -230,12 +230,22 @@ def evolve_many(sequence, times):
     Raises
     ------
     ValueError
-        If a time is negative, infinite or nan.
+        If a time is negative, infinite or nan, or so long that its period
+        count times pi/2 is not finite.
     """
     times = np.asarray(times, dtype=float)
-    # a nan minimum fails the first comparison
-    if times.size and not (0.0 <= times.min() and times.max() < math.inf):
-        raise ValueError("times must be finite and non-negative")
+    if times.size:
+        t_max = float(times.max())
+        # a nan minimum fails the first comparison
+        if not (0.0 <= times.min() and t_max < math.inf):
+            raise ValueError("times must be finite and non-negative")
+        # the power identity turns by n*Theta, Theta <= pi/2 after the
+        # reflection; Python floats overflow to inf here without a warning
+        if not math.isfinite(t_max / sequence.period * (0.5 * math.pi)):
+            raise ValueError(
+                "time %r spans too many periods of T = %r: the period count "
+                "times pi/2 is not finite" % (t_max, sequence.period)
+            )
     ts = times.ravel()
     # prefix propagators at the segment starts are scalars, shared by all blocks
     starts, per = _window_starts(sequence)

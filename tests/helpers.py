@@ -65,7 +65,7 @@ def mp_propagator(seq, periods=1, offset=0.0):
     working precision from the float step fields: ``periods`` full periods,
     then the steps up to the exact ``offset`` < T into the next one, each
     segment applied on the left in the library's recursion order.  The
-    default is U(T).  No null steps."""
+    default is U(T).  A null step is the identity."""
     zero = mpmath.mpf(0)
     a, b, c, d = mpmath.mpf(1), zero, zero, zero
     spans = [step.tau for step in seq.steps] * periods
@@ -78,6 +78,8 @@ def mp_propagator(seq, periods=1, offset=0.0):
             break
         delta, eps, theta, _ = (mpmath.mpf(x) for x in step)
         energy = mpmath.sqrt(eps**2 + delta**2 / 4)
+        if energy == 0:
+            continue
         ax = eps * mpmath.cos(theta) / energy
         ay = eps * mpmath.sin(theta) / energy
         az = delta / 2 / energy

@@ -148,6 +148,17 @@ def test_propagate_rejects_non_finite_time_grids(tmp_path, capsys, grid):
     assert "finite" in err
 
 
+def test_propagate_rejects_times_beyond_a_finite_period_count(tmp_path, capsys):
+    # T = 0.4: t / T overflows a float
+    path = write_config(
+        tmp_path, "delta = 0.5, 1\nepsilon = 1, 0.3\ntheta = 0, 1\ntau = 0.2, 0.2\n"
+    )
+    assert cli.main(["propagate", path, "--tgrid", "0:1.7e308:2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "period count times pi/2 is not finite" in err
+
+
 def test_grids_above_the_point_limit_exit_1_before_allocating(
     tmp_path, capsys, monkeypatch
 ):
@@ -434,6 +445,22 @@ def test_scan_resolves_durations_per_cell(tmp_path, capsys):
         assert float(line.split(",")[1]) == expected
 
 
+def test_scan_resolves_the_last_step_of_three(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        "delta = 2.5, 20, 30\nepsilon = 1.1, 1, 0.9\ntheta = 0, 0.7, 0.4\n"
+        "tau = 0.35, 0.0938, 0.05\n",
+    )
+    assert cli.main(
+        ["scan", path, "--vary", "delta2=18:22:3", "--vary", "epsilon3=0.8:1:2",
+         "--metric", "omega_eff", "--resolve-tau", "3"]
+    ) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "delta2,epsilon3,omega_eff"
+    cells = [float(line.split(",")[2]) for line in lines[1:]]
+    assert len(cells) == 6 and all(map(math.isfinite, cells))
+
+
 def test_scan_marks_failed_cells_nan(tmp_path, capsys):
     # the default metric needs a strong effective detuning; this drive has
     # almost none, so its cell must come out nan instead of crashing
@@ -488,14 +515,26 @@ def test_scan_rejects_bad_axes(tmp_path, capsys):
     assert cli.main(
         ["scan", path, "--vary", "delta2=0:1:2", "--resolve-tau", "1"]
     ) == 1
-    assert "only step 2" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "must name the last step, 2, got 1" in captured.err
+    assert captured.out == ""
     single = write_config(
         tmp_path, "delta = 0\nepsilon = 1\ntheta = 0\ntau = 1\n", name="one.cfg"
     )
     assert cli.main(
         ["scan", single, "--vary", "delta1=0:1:2", "--resolve-tau", "2"]
     ) == 1
-    assert "two-step sequence" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "must name the last step, 1, got 2" in captured.err
+    assert captured.out == ""
+    # the re-solved duration would overwrite every value of its own axis
+    assert cli.main(
+        ["scan", path, "--vary", "tau2=0.01:0.5:4", "--resolve-tau", "2",
+         "--metric", "omega_eff"]
+    ) == 1
+    captured = capsys.readouterr()
+    assert "--vary tau2 has no effect" in captured.err
+    assert captured.out == ""
 
 
 def test_beat_prints_prediction_then_envelope(tmp_path, capsys):

@@ -386,16 +386,16 @@ NULL_PAIR = ([2.5, 0.0], [1.1, 0.0], [0.0, 0.4], [0.35, 0.05])
 def scalar_loop_roots(seq, field):
     """brentq roots at every sign flip of b(T) on the search grid.
 
-    The reference search: scalar residuals point by point on the field's
-    grid, one brentq per bracket, the first of them the design root.
-    Empty without a flip.
+    The reference search: scalar residuals point by point on the grid of
+    the last step's field, one brentq per bracket, the first of them the
+    design root.  Empty without a flip.
     """
 
     def residual(x):
         return period_propagator(_with_field(seq, field, x)).b
 
-    step1, step2 = seq.steps
-    scale = max(abs(step2.delta), step1.epsilon, step2.epsilon, abs(step1.delta))
+    last = seq.steps[-1]
+    scale = max(max(abs(s.delta), s.epsilon) for s in seq.steps)
     if field == "detuning":
         grid = np.linspace(-10.0 * scale, 10.0 * scale, 2048)
     elif field == "coupling":
@@ -403,7 +403,7 @@ def scalar_loop_roots(seq, field):
     elif field == "phase":
         grid = np.linspace(-math.pi, math.pi, 1024)
     else:
-        grid = np.linspace(1e-9, step2.tau + 2.0 * math.pi / step2.energy, 2048)
+        grid = np.linspace(1e-9, last.tau + 2.0 * math.pi / last.energy, 2048)
     sign = np.sign([residual(x) for x in grid])
     return [
         scipy.optimize.brentq(residual, grid[i], grid[i + 1], xtol=1e-14)
@@ -483,6 +483,51 @@ def test_design_closed_form_is_the_first_root_of_the_search(
     bound = 4.0 * 2.2e-16 * sum(1.0 + s.energy * s.tau for s in out.steps)
     with mpmath.workdps(40):
         assert abs(float(mp_propagator(out)[1])) <= bound
+
+
+@seed(16)
+@settings(max_examples=10, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.floats(-5.0, 5.0), st.floats(0.2, 2.0),
+                  st.floats(-math.pi, math.pi), st.floats(0.05, 1.0)),
+        min_size=8, max_size=8,
+    ),
+    null_last=st.booleans(),
+)
+@pytest.mark.parametrize("n", [1, 3, 4, 8])
+@pytest.mark.parametrize("field", ["detuning", "coupling", "phase", "durations"])
+def test_design_tunes_the_last_step_of_any_drive(field, n, steps, null_last):
+    steps = steps[:n]
+    if null_last:
+        steps[-1] = (0.0, 0.0) + steps[-1][2:]
+    seq = PulseSequence.from_arrays(*zip(*steps))
+    if abs(period_propagator(seq).b) < 1e-12:
+        assert design_manipulation(seq, "complete_transition", field) is seq
+        return
+    if field in ("phase", "durations") and seq.steps[-1].energy == 0.0:
+        roots = []  # a null last step leaves b(T) fixed
+    else:
+        roots = scalar_loop_roots(seq, field)
+    if not roots:
+        with pytest.raises(ValueError, match="no sign change"):
+            design_manipulation(seq, "complete_transition", field)
+        return
+    out = design_manipulation(seq, "complete_transition", field)
+    name = _FREE_FIELDS[field]
+    assert out.steps[:-1] == seq.steps[:-1]
+    assert out.steps[-1]._replace(**{name: getattr(seq.steps[-1], name)}) == seq.steps[-1]
+    got = getattr(out.steps[-1], name)
+    if field == "durations":
+        assert got == pytest.approx(roots[0], rel=1e-11)
+    elif field == "phase":
+        # the smaller of the two roots on the circle, as the search finds it
+        assert abs(math.remainder(got - roots[0], 2.0 * math.pi)) < 1e-9
+    else:
+        # the same bracket and brentq as the reference search
+        assert got == roots[0]
+    with mpmath.workdps(40):
+        assert abs(float(mp_propagator(out)[1])) <= 1e-12
 
 
 def test_design_input_validation():

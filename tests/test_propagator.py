@@ -157,13 +157,25 @@ def test_evolve_rejects_negative_times():
         evolve_many(seq, [0.0, -1.0])
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1.7e308])
 def test_evolve_rejects_non_finite_times(bad):
+    # T is about 0.14, so t / T overflows at 1.7e308
     seq = detuned_pair()
     with pytest.raises(ValueError, match="finite"):
         evolve(seq, bad)
     with pytest.raises(ValueError, match="finite"):
         evolve_many(seq, [0.0, bad, 1.0])
+
+
+def test_evolve_rejects_a_period_turn_beyond_the_float_range():
+    # T = 1 keeps t / T finite, but n*Theta with Theta near pi/2 is not
+    seq = PulseSequence.from_arrays([0.0], [0.499 * math.pi], [0.0], [1.0])
+    with pytest.raises(ValueError, match="period count times pi/2 is not finite"):
+        evolve(seq, 1.7e308)
+    with pytest.raises(ValueError, match="period count times pi/2 is not finite"):
+        evolve_many(seq, [0.0, 1.7e308])
+    # a count whose turn stays finite is still evolved
+    assert np.isfinite(evolve_many(seq, [1e300])).all()
 
 
 def test_group_property_over_many_periods():
