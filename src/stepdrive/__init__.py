@@ -7,11 +7,14 @@ import sys as _sys
 
 # OpenBLAS starts one thread per core when numpy loads, and its idle threads
 # spin; no stepdrive product is large enough to gain from them, and the CLI
-# pays for the pool on every call.  The package __init__ is the first code
-# both `python -m stepdrive.cli` and the `stepdrive` script run, and the
-# `.core` import below is what loads numpy, so the request goes here.  It
-# is made only when numpy is not loaded yet (its pool would already exist)
-# and no OpenBLAS thread variable is set, so a caller's choice is kept.
+# pays for the pool on every call that loads numpy.  The package __init__ is
+# the first code both `python -m stepdrive.cli` and the `stepdrive` script
+# run, so the request goes here, before any numpy import in the package.
+# The submodules below all load here, but none of them loads numpy: each
+# imports it inside the functions that build arrays, so `import stepdrive`,
+# `heff` and rejected input never pay for it.  The request is made only
+# when numpy is not loaded yet (its pool would already exist) and no
+# OpenBLAS thread variable is set, so a caller's choice is kept.
 if "numpy" not in _sys.modules and not any(
     _os.environ.get(name)
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

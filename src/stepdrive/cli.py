@@ -24,8 +24,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from .core import PulseSequence
 from .effective import effective_hamiltonian, jump_sequence
 from .phenomena import beat_prediction, classify, design_manipulation
@@ -56,6 +54,9 @@ _ROW_BLOCK = 8192
 # a number standing alone in an error message, such as 1e-06 or -0.25;
 # compiled by `re` on first use, so start-up does not pay for it
 _NUMBER = r"(?<![\w./])[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?"
+
+# numpy is imported where a command builds its arrays, after its input is
+# checked (see the package __init__)
 
 
 class ConfigError(ValueError):
@@ -151,8 +152,11 @@ def _check_points(num, what):
 
 def _apply_jump(sequence, args):
     if args.jump_lambda is None:
+        if args.jump_step is not None:
+            raise ValueError("--jump-step needs --jump-lambda")
         return sequence
-    return jump_sequence(sequence, args.jump_lambda, args.jump_step)
+    step = 1 if args.jump_step is None else args.jump_step
+    return jump_sequence(sequence, args.jump_lambda, step)
 
 
 def _g17(x):
@@ -174,7 +178,10 @@ def _write_rows(header, columns):
 
 def cmd_propagate(args):
     sequence = _apply_jump(read_config(args.config), args)
-    times = np.linspace(*_parse_grid(args.tgrid, "--tgrid"))
+    grid = _parse_grid(args.tgrid, "--tgrid")
+    import numpy as np
+
+    times = np.linspace(*grid)
     if times.min() < 0.0:
         raise ValueError("--tgrid times must be non-negative")
     a, b, c, d = evolve_many(sequence, times)
@@ -302,6 +309,7 @@ def cmd_scan(args):
     if not 1 <= args.jobs <= _MAX_JOBS:
         raise ValueError("--jobs must lie in 1..%d, got %d" % (_MAX_JOBS, args.jobs))
     _check_points(math.prod(a[2][2] for a in axes), "the scan grid")
+    import numpy as np
 
     # row-major cells: the flat index runs fastest along the last axis
     grids = [np.linspace(*a[2]).tolist() for a in axes]
@@ -349,6 +357,8 @@ def cmd_beat(args):
         horizon = 2.0 * 2.0 * math.pi / prediction.omega_b
     else:
         horizon = 40.0 * sequence.period
+    import numpy as np
+
     times = np.linspace(0.0, horizon, 1001)
     envelope = 0.5 * (1.0 + np.abs(np.cos(
         prediction.omega_b * (times - prediction.t_p)
@@ -379,7 +389,7 @@ def build_parser():
     p.add_argument("--tgrid", required=True, help="time grid min:max:num")
     p.add_argument("--jump-lambda", type=float, default=None,
                    help="jump parameter in [0, 1] applied before evolving")
-    p.add_argument("--jump-step", type=int, default=1,
+    p.add_argument("--jump-step", type=int, default=None,
                    help="1-based step carrying the jump (default 1)")
     p.set_defaults(func=cmd_propagate)
 
@@ -388,7 +398,7 @@ def build_parser():
     p.add_argument("--branch", choices=("principal", "positive_a"),
                    default="principal")
     p.add_argument("--jump-lambda", type=float, default=None)
-    p.add_argument("--jump-step", type=int, default=1)
+    p.add_argument("--jump-step", type=int, default=None)
     p.set_defaults(func=cmd_heff)
 
     p = sub.add_parser("spectrum", help="Fourier components and reduced model")

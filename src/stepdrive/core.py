@@ -18,7 +18,7 @@ no global-phase bookkeeping anywhere.
 import math
 from collections import namedtuple
 
-import numpy as np
+# numpy is imported by the functions that build arrays (see the package __init__)
 
 
 class EmptySequenceError(ValueError):
@@ -89,6 +89,8 @@ class DriveStep(namedtuple("DriveStep", ["delta", "epsilon", "theta", "tau"])):
 
     def hamiltonian(self):
         """The 2x2 Hermitian matrix of this segment (traceless convention)."""
+        import numpy as np
+
         off = self.epsilon * complex(math.cos(self.theta), math.sin(self.theta))
         return np.array(
             [[-0.5 * self.delta, off], [off.conjugate(), 0.5 * self.delta]],
@@ -125,6 +127,8 @@ class PulseSequence(namedtuple("PulseSequence", ["steps"])):
     @property
     def boundaries(self):
         """Cumulative segment boundaries tau'_0 = 0 < tau'_1 < ... < tau'_N."""
+        import numpy as np
+
         taus = np.array([s.tau for s in self.steps], dtype=float)
         bounds = np.empty(len(taus) + 1)
         bounds[0] = 0.0
@@ -240,6 +244,8 @@ class PropagatorCoeffs(namedtuple("PropagatorCoeffs", ["a", "b", "c", "d"])):
 
     def as_matrix(self):
         """The complex 2x2 matrix of these coefficients."""
+        import numpy as np
+
         return np.array(
             [
                 [complex(self.a, self.b), complex(self.c, -self.d)],
@@ -328,6 +334,8 @@ class SpectralModel(namedtuple("SpectralModel", ["offset", "components"])):
 
     def evaluate(self, t):
         """Evaluate offset + sum_i b_i*cos(w_i*t - phi_i) at times t."""
+        import numpy as np
+
         t = np.asarray(t, dtype=float)
         out = np.full(t.shape, self.offset)
         for comp in self.components:
@@ -361,6 +369,8 @@ class BeatPrediction(
 
     def evaluate(self, t):
         """Evaluate the two-tone model at times t."""
+        import numpy as np
+
         t = np.asarray(t, dtype=float) - self.t_p
         return 0.5 * (
             np.sin(self.varpi_1 * t) ** 2 + np.sin(self.varpi_1_prime * t) ** 2

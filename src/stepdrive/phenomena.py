@@ -13,12 +13,12 @@ in a metrology setting, inverted for the relative phase of the two pulses.
 import math
 from collections import namedtuple
 
-import numpy as np
-
 from .core import BeatPrediction, PulseSequence, validate
 from .effective import effective_hamiltonian
 from .propagator import _window_starts, period_propagator
 from .spectrum import _aligned_signal, fourier_numeric
+
+# numpy is imported by the functions that build arrays (see the package __init__)
 
 # dynamical-phase tolerance when recognizing quarter- and half-cycle pulses
 _AREA_TOL = 1e-6
@@ -201,7 +201,8 @@ def beat_prediction(sequence, resonant_tol=0.01):
     ----------
     sequence : PulseSequence
     resonant_tol : float
-        Relative detuning bound below which a step counts as resonant.
+        Relative detuning bound below which a step counts as resonant, in
+        (0, 10]: above 10 it would reach into the strongly detuned regime.
 
     Returns
     -------
@@ -211,9 +212,12 @@ def beat_prediction(sequence, resonant_tol=0.01):
     Raises
     ------
     ValueError
-        If a step is in neither regime, the dynamical phases are not
-        quarter/half cycles, or no step is resonant.
+        If resonant_tol lies outside (0, 10] or is nan, a step is in
+        neither regime, the dynamical phases are not quarter/half cycles,
+        or no step is resonant.
     """
+    if not 0.0 < resonant_tol <= 10.0:
+        raise ValueError("resonant_tol must lie in (0, 10], got %r" % (resonant_tol,))
     resonant, _ = _split_regimes(sequence, resonant_tol)
     if not resonant:
         raise ValueError("no resonant step; nothing beats")
@@ -262,6 +266,8 @@ def _fit_time_shift(sequence, varpi, varpi_prime, omega_b):
     which makes a dense global scan cheap: the data inner products are
     accumulated once and each candidate costs O(1).
     """
+    import numpy as np
+
     period = sequence.period
     if omega_b > 0.0:
         horizon = min(max(4.0 * math.pi / omega_b, 10.0 * period), 2000.0 * period)
@@ -491,6 +497,8 @@ def design_manipulation(sequence, target, free_parameter):
         else:
             def residual(x):
                 return period_propagator(_with_field(sequence, free_parameter, x)).b
+
+            import numpy as np
 
             scale = max(max(abs(s.delta), s.epsilon) for s in sequence.steps)
             lo, hi = (-10.0, 10.0) if free_parameter == "detuning" else (1e-6, 20.0)

@@ -23,9 +23,9 @@ while the small s keeps its relative precision.
 
 import math
 
-import numpy as np
-
 from .core import PropagatorCoeffs
+
+# numpy is imported by the functions that build arrays (see the package __init__)
 
 # times per block of evolve_many: its float64 temporaries (64 KB) stay below
 # the default malloc mmap threshold (128 KB), so they are reused across calls
@@ -128,6 +128,8 @@ def intra_period(sequence, tprime):
     starts, per = _window_starts(sequence)
     if tprime == period:
         return per
+    import numpy as np
+
     inner = _intra_block(sequence, starts, np.array([float(tprime)]))
     return PropagatorCoeffs(*(float(x[0]) for x in inner))
 
@@ -148,6 +150,8 @@ def _power_factors(per, ns):
     by n.  A null rotation, U(T) = +/-1, has s = 0 and gets the ratio 0,
     which :func:`rotate` multiplies by zeros.
     """
+    import numpy as np
+
     sin_theta = math.hypot(per.b, per.c, per.d)
     ang = math.atan2(sin_theta, abs(per.a))
     cos_n = np.cos(ns * ang)
@@ -162,6 +166,8 @@ def _split_time(t, period):
     # decompose t = n*T + t' with 0 <= t' < T, for a float or an array t;
     # n comes back as a float.  A t' within one ulp of T is promoted to the
     # next period boundary.
+    import numpy as np
+
     n = np.floor(t / period)
     n -= t - n * period < 0.0  # floor rounding at exact multiples
     tprime = t - n * period
@@ -233,6 +239,8 @@ def evolve_many(sequence, times):
         If a time is negative, infinite or nan, or so long that its period
         count times pi/2 is not finite.
     """
+    import numpy as np
+
     times = np.asarray(times, dtype=float)
     if times.size:
         t_max = float(times.max())
@@ -274,6 +282,8 @@ def _step_index(bounds, tp):
     a boundary opens the next step; one beyond T stays in the last.  The
     counts are kept in the smallest unsigned type that holds N - 1, since
     adding a bool array into an intp one costs more than the comparison."""
+    import numpy as np
+
     idx = np.zeros(tp.shape, dtype=np.min_scalar_type(len(bounds) - 2))
     for edge in bounds[1:-1]:
         idx += tp >= edge
@@ -284,6 +294,8 @@ def _intra_block(sequence, starts, tp):
     """(a, b, c, d) of U(t') on a flat array of times 0 <= t' < T, from the
     segment-start propagators ``starts``; the partial rotation inside the
     containing segment is vectorized."""
+    import numpy as np
+
     bounds = sequence.boundaries
     a = np.empty_like(tp)
     b = np.empty_like(tp)

@@ -29,8 +29,6 @@ import math
 import warnings
 from collections import namedtuple
 
-import numpy as np
-
 from .core import (
     DegenerateFrequencyWarning,
     SpectralComponent,
@@ -38,6 +36,8 @@ from .core import (
 )
 from .effective import effective_hamiltonian
 from .propagator import _step_index, _window_starts, rotate
+
+# numpy is imported by the functions that build arrays (see the package __init__)
 
 # denominators |probe +/- 2 E_n| below this are treated as exactly resonant
 _DEGENERATE_TOL = 1e-10
@@ -48,11 +48,6 @@ _FOLD_TOL = 1e-9
 # in the infinite-window limit, comb lines closer than this (in units of
 # 1/T) to a probe are that probe's line
 _RESOLUTION = math.pi / 1024.0
-
-# x x^T = sum_u h_u(2*angle) * _PAIR[u] for x = (cos angle, sin angle)
-_PAIR = 0.5 * np.array([[[1.0, 0.0], [0.0, 1.0]],
-                        [[1.0, 0.0], [0.0, -1.0]],
-                        [[0.0, 1.0], [1.0, 0.0]]])
 
 ModelError = namedtuple("ModelError", ["value", "horizon"])
 
@@ -150,6 +145,8 @@ def _line_table(sequence):
         modulo 2*pi, read as -2*atan2(sin(Theta), -a) when a < 0, so that
         h(k*turn) = h(2*k*Theta) never scales a rounded Theta near pi.
     """
+    import numpy as np
+
     starts, per = _window_starts(sequence)
     sin_theta = math.hypot(per.b, per.c, per.d)
     theta = per.angle if sin_theta > 0.0 else 0.0
@@ -164,17 +161,25 @@ def _line_table(sequence):
             turned = rotate(left, 0.0, ratio, (per.d, per.c, per.b), -1)
             rows += [(left[2], left[3]), turned[2:]]
     m = np.array(rows).reshape(len(starts), 2, 2, 2).transpose(0, 3, 1, 2)
-    tables = np.einsum("upq,njqr,vrs,njps->nuv", _PAIR, m, _PAIR, m)
+    # x x^T = sum_u h_u(2*angle) * pair[u] for x = (cos angle, sin angle)
+    pair = 0.5 * np.array([[[1.0, 0.0], [0.0, 1.0]],
+                           [[1.0, 0.0], [0.0, -1.0]],
+                           [[0.0, 1.0], [1.0, 0.0]]])
+    tables = np.einsum("upq,njqr,vrs,njps->nuv", pair, m, pair, m)
     return tables, theta, turn
 
 
 def _tones(phase):
     """h(phase) = (1, cos, sin) of an array of phases, along a new last axis."""
+    import numpy as np
+
     return np.stack([np.ones_like(phase), np.cos(phase), np.sin(phase)], axis=-1)
 
 
 def _window_tones(sequence, windows, offsets):
     """h(2*E_n*(offset - t_n)), shape (m, 3), of m offsets in windows n."""
+    import numpy as np
+
     energies = np.array([step.energy for step in sequence.steps])
     local = offsets - sequence.boundaries[windows]
     return _tones(2.0 * energies[windows] * local)
@@ -200,6 +205,8 @@ def _line_spectrum(sequence, l_range, K, warn):
     """Exact line spectrum over K periods, or the infinite window for None."""
     if K is not None and K < 1:
         raise ValueError("need at least one period, got K=%r" % (K,))
+    import numpy as np
+
     period = sequence.period
     omega_t = sequence.omega_t
     heff = effective_hamiltonian(sequence, branch="positive_a")
@@ -272,6 +279,8 @@ def piecewise_coefficients(sequence, K):
     """
     if K < 1:
         raise ValueError("need at least one period, got K=%r" % (K,))
+    import numpy as np
+
     tables, _, turn = _line_table(sequence)
     return tables @ _tones(turn * np.arange(K)).T
 
@@ -288,6 +297,8 @@ def piecewise_evaluate(sequence, coeffs, times):
     ValueError
         If a time is negative, non-finite or beyond K periods.
     """
+    import numpy as np
+
     period = sequence.period
     n_periods = coeffs.shape[2]
     times = np.asarray(times, dtype=float)
@@ -404,6 +415,8 @@ def _aligned_signal(sequence, t_end, per_step):
     periods are one product of the window tones and the coefficients of
     :func:`piecewise_coefficients`, so no time is split back into (k, s).
     """
+    import numpy as np
+
     period = sequence.period
     bounds = sequence.boundaries
     n_full = int(math.floor(t_end / period))
@@ -457,6 +470,8 @@ def model_error(sequence, model, t_s=None, per_step=64):
         t_s = 40.0 * sequence.period
     if t_s <= 0.0:
         raise ValueError("horizon must be positive")
+    import numpy as np
+
     times, exact = _aligned_signal(sequence, t_s, max(64, per_step))
     approx = model.evaluate(times)
     value = float(np.trapezoid(np.abs(exact - approx), times)) / t_s

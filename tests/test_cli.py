@@ -33,6 +33,16 @@ theta = 0, 0
 tau = 1.5707963267948966, 0.078441825264356502
 """
 
+# the same pair with the second step detuned by 15 couplings, just past the
+# strongly detuned bound of 10: a `beat --resonant-tol` above 10 would count
+# it as resonant
+NEAR_DETUNED_CONFIG = """\
+delta = 0, 15
+epsilon = 1, 1
+theta = 0, 0
+tau = 1.5707963267948966, 0.20760228605451986
+"""
+
 
 def write_config(tmp_path, text, name="seq.cfg"):
     path = tmp_path / name
@@ -165,7 +175,7 @@ def test_grids_above_the_point_limit_exit_1_before_allocating(
     def refuse(*args, **kwargs):
         raise AssertionError("nothing may be allocated or evaluated")
 
-    monkeypatch.setattr(cli.np, "linspace", refuse)
+    monkeypatch.setattr(np, "linspace", refuse)
     monkeypatch.setattr(cli, "evolve_many", refuse)
     monkeypatch.setattr(cli, "_scan_cell", refuse)
     path = write_config(tmp_path, PAIR_CONFIG)
@@ -569,6 +579,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["propagate", path, "--tgrid", "0:1:2", "--jump-lambda", "1.5"]
     ) == 1
     assert "must lie in [0, 1]" in capsys.readouterr().err
+    detuned = write_config(tmp_path, NEAR_DETUNED_CONFIG, name="near.cfg")
     # an empty search, a tolerance nothing can meet or a negative term count
     # is an input error, reported before any output
     for argv, message in (
@@ -578,6 +589,15 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         (["classify", path, "--tol=-1"], "tol must be finite and positive"),
         (["classify", path, "--tol", "inf"], "tol must be finite and positive"),
         (["spectrum", path, "--max-terms=-2"], "--max-terms must be non-negative"),
+        (["beat", detuned, "--resonant-tol", "20"], "resonant_tol must lie in (0, 10]"),
+        (["beat", detuned, "--resonant-tol", "nan"], "resonant_tol must lie in (0, 10]"),
+        (["beat", detuned, "--resonant-tol=-1"], "resonant_tol must lie in (0, 10]"),
+        (["beat", detuned, "--resonant-tol", "0"], "resonant_tol must lie in (0, 10]"),
+        # --jump-step alone names a jump that is never applied
+        (["heff", path, "--jump-step", "5"], "--jump-step needs --jump-lambda"),
+        (["heff", path, "--jump-step", "1"], "--jump-step needs --jump-lambda"),
+        (["propagate", path, "--tgrid", "0:1:2", "--jump-step", "2"],
+         "--jump-step needs --jump-lambda"),
     ):
         assert cli.main(argv) == 1
         out, err = capsys.readouterr()
@@ -597,9 +617,11 @@ def _child_env(**preset):
     return env
 
 
-# Runs in a fresh interpreter: reports OPENBLAS_NUM_THREADS and the thread
-# count right after the import, then the scipy and concurrent modules loaded
-# after the import and after each request, with the exit codes.
+# Runs in a fresh interpreter: reports OPENBLAS_NUM_THREADS, then after the
+# import and after each request the scipy and concurrent modules loaded,
+# whether numpy is loaded, and the exit code.  The requests that need no
+# array come first, so numpy loads only with `propagate`, after which the
+# thread count shows the size of the BLAS pool.
 _START_UP_PROBE = """
 import contextlib, io, json, os, sys
 import stepdrive.cli as cli
@@ -614,43 +636,68 @@ def threads():
         return None
 
 def loaded():
-    return {
+    report = {
         package: sorted(m for m in sys.modules if m.split(".")[0] == package)
         for package in ("scipy", "concurrent")
     }
+    report["numpy"] = "numpy" in sys.modules
+    return report
 
-path = sys.argv[1]
+def run(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # --help
+        return exc.code
+
+path, malformed = sys.argv[1:]
 report = {
     "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
-    "threads": threads(),
     "exit": {},
     "import": loaded(),
 }
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     for name, argv in (
         ("heff", ["heff", path]),
+        ("heff_jump", ["heff", path, "--jump-lambda", "0.3"]),
+        ("malformed_config", ["heff", malformed]),
+        ("malformed_propagate", ["propagate", malformed, "--tgrid", "0:1:3"]),
+        ("bad_flag", ["heff", path, "--bogus"]),
+        ("help", ["--help"]),
         ("propagate", ["propagate", path, "--tgrid", "0:1:3"]),
         ("beat", ["beat", path]),
         ("scan", ["scan", path, "--vary", "delta2=30:50:3", "--resolve-tau", "2",
                   "--jobs", "1"]),
     ):
-        report["exit"][name] = cli.main(argv)
+        report["exit"][name] = run(argv)
         report[name] = loaded()
+        if name == "propagate":
+            report["threads"] = threads()
 print(json.dumps(report))
 """
 
-_REQUESTS = ("heff", "propagate", "beat", "scan")
+# requests whose whole path runs on Python floats
+_SCALAR_REQUESTS = (
+    "heff", "heff_jump", "malformed_config", "malformed_propagate", "bad_flag", "help",
+)
+_REQUESTS = _SCALAR_REQUESTS + ("propagate", "beat", "scan")
+_EXITS = dict.fromkeys(_REQUESTS, 0) | dict.fromkeys(
+    ("malformed_config", "malformed_propagate", "bad_flag"), 1
+)
 
 
 @pytest.fixture(scope="module")
 def start_up_report(tmp_path_factory):
-    path = write_config(tmp_path_factory.mktemp("probe"), PAIR_CONFIG)
+    folder = tmp_path_factory.mktemp("probe")
+    path = write_config(folder, PAIR_CONFIG)
+    malformed = write_config(
+        folder, PAIR_CONFIG.replace("0, 40", "0, forty"), name="bad.cfg"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", _START_UP_PROBE, path],
+        [sys.executable, "-c", _START_UP_PROBE, path, malformed],
         env=_child_env(), capture_output=True, text=True, check=True,
     )
     report = json.loads(proc.stdout)
-    assert report["exit"] == dict.fromkeys(_REQUESTS, 0)
+    assert report["exit"] == _EXITS
     return report
 
 
@@ -659,9 +706,17 @@ def test_no_cli_request_loads_scipy(start_up_report):
         assert start_up_report[stage]["scipy"] == [], stage
 
 
+def test_import_and_scalar_requests_do_not_load_numpy(start_up_report):
+    for stage in ("import",) + _SCALAR_REQUESTS:
+        assert start_up_report[stage]["numpy"] is False, stage
+    # the probe sees numpy once a request builds an array
+    assert start_up_report["propagate"]["numpy"] is True
+
+
 def test_cli_start_up_asks_for_one_blas_thread_and_no_process_pool(start_up_report):
     assert start_up_report["blas"] == "1"
     if sys.platform.startswith("linux"):
+        # measured after `propagate`, the first request that loads numpy
         assert start_up_report["threads"] == 1
     # only `scan --jobs` above 1 loads concurrent.futures
     for stage in ("import",) + _REQUESTS:

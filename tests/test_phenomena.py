@@ -240,6 +240,15 @@ def test_beat_prediction_input_validation():
     three_quarters = quarter_cycle_sequence([1.0, 1.2, 1.4], [0.0, 30.0, 40.0])
     with pytest.raises(ValueError, match="odd step counts"):
         beat_prediction(three_quarters)
+    # step 2 is strongly detuned, |delta| = 15 epsilon: a tolerance past 10
+    # would count it as resonant, and nan or a non-positive one would count
+    # the exactly resonant step 1 as neither
+    near = quarter_cycle_sequence([1.0, 1.0], [0.0, 15.0])
+    for tol in (20.0, 10.5, math.inf, math.nan, -1.0, 0.0):
+        with pytest.raises(ValueError, match=r"resonant_tol must lie in \(0, 10\]"):
+            beat_prediction(near, resonant_tol=tol)
+    # the top of the band keeps the answer of the default
+    assert beat_prediction(near, resonant_tol=10.0) == beat_prediction(near)
 
 
 def test_phase_recovery_inverts_the_beat_relation():
