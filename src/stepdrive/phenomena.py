@@ -10,12 +10,13 @@ frequency is predicted in closed form from the effective Hamiltonian and,
 in a metrology setting, inverted for the relative phase of the two pulses.
 """
 
+import itertools
 import math
 from collections import namedtuple
 
 from .core import BeatPrediction, PulseSequence, validate
 from .effective import effective_hamiltonian
-from .propagator import _window_starts, period_propagator
+from .propagator import _window_starts, compose, period_propagator
 from .spectrum import _aligned_signal, fourier_numeric
 
 # numpy is imported by the functions that build arrays (see the package __init__)
@@ -383,29 +384,52 @@ _FREE_FIELDS = {
 
 
 def _with_field(sequence, field, value):
-    if field not in _FREE_FIELDS:
-        raise ValueError("unknown free parameter %r" % (field,))
     *head, last = sequence.steps
     return PulseSequence((*head, last._replace(**{_FREE_FIELDS[field]: value})))
 
 
-def _closed_form_root(sequence, field):
-    """Root of b(T) in the last step's duration or phase; None if there is none.
+def _last_step_root(sequence, field):
+    """Root of b(T) in one field of the last step; None if there is none.
 
     U(T) = U_N P, with P the product of the earlier steps (1 for N = 1).
+    For detuning and coupling, the first sign change of b(T) on a
+    2048-point grid scaled by the largest |delta| or epsilon is bisected
+    to two neighbouring floats, the root being the one of smaller |b(T)|.
     With g the b of P and of its unit turns about the three axes, g_0 = b
     and (g_x, g_y, g_z) = (c, -d, a) of P,
     b(T) = cos(phi) g_0 + sin(phi) (axis . g), phi = E_N tau_N.
     The duration root is the first zero at phi >= 1e-9 E_N.  The axis is
     linear in (1, cos theta_N, sin theta_N): b(T) = A + B cos + C sin, and
     the smaller of its two zeros in [-pi, pi] is the phase root.  A null
-    last step (E_N = 0) leaves b(T) fixed and has no root.
+    last step (E_N = 0) leaves b(T) fixed in both and has no root.
     """
     last = sequence.steps[-1]
+    (*_, prefix), _ = _window_starts(sequence)
+    if field in ("detuning", "coupling"):
+        def point(x):
+            # (x, sign of b(T), |b(T)|), b(T) rounded as period_propagator rounds it
+            step = last._replace(**{_FREE_FIELDS[field]: x})
+            b = compose(prefix, step, step.tau).b
+            return x, (b > 0.0) - (b < 0.0), abs(b)
+
+        import numpy as np
+
+        scale = max(max(abs(s.delta), s.epsilon) for s in sequence.steps)
+        low, high = (-10.0, 10.0) if field == "detuning" else (1e-6, 20.0)
+        grid = np.linspace(low * scale, high * scale, 2048).tolist()
+        for lo, hi in itertools.pairwise(map(point, grid)):
+            if lo[1] != hi[1]:
+                break
+        else:
+            return None
+        # halving each end cannot overflow; the loop ends at neighbouring floats
+        while lo[0] < (x := 0.5 * lo[0] + 0.5 * hi[0]) < hi[0]:
+            mid = point(x)
+            lo, hi = (mid, hi) if mid[1] == lo[1] else (lo, mid)
+        return (lo if lo[2] <= hi[2] else hi)[0]
     energy = last.energy
     if energy == 0.0:
         return None
-    (*_, prefix), _ = _window_starts(sequence)
     gx, gy, gz = prefix.c, -prefix.d, prefix.a
     if field == "durations":
         ax, ay, az = last.axis
@@ -437,12 +461,8 @@ def design_manipulation(sequence, target, free_parameter):
     propagator U(T) = U_N P of N steps by tuning the free parameter
     (detuning, coupling, phase, or durations) of step N; a sequence
     already satisfying the target is returned unchanged.  Durations and
-    phase have closed-form roots (see :func:`_closed_form_root`): the
-    first duration root, and the smaller of the two phase roots in
-    [-pi, pi].  Detuning and coupling enter through the step energy and
-    have none: their root is bracketed by the first sign change of b on a
-    2048-point grid, scaled by the largest |delta| or epsilon, and refined
-    by brentq, which imports scipy.optimize.  A ValueError reports a
+    phase roots are closed forms, detuning and coupling roots a bisection
+    on a grid (see :func:`_last_step_root`).  A ValueError reports a
     target with no root.
 
     Parameters
@@ -492,25 +512,7 @@ def design_manipulation(sequence, target, free_parameter):
         if abs(period_propagator(sequence).b) < 1e-12:
             return sequence
 
-        if free_parameter in ("durations", "phase"):
-            root = _closed_form_root(sequence, free_parameter)
-        else:
-            def residual(x):
-                return period_propagator(_with_field(sequence, free_parameter, x)).b
-
-            import numpy as np
-
-            scale = max(max(abs(s.delta), s.epsilon) for s in sequence.steps)
-            lo, hi = (-10.0, 10.0) if free_parameter == "detuning" else (1e-6, 20.0)
-            grid = np.linspace(lo * scale, hi * scale, 2048)
-            sign = np.sign([residual(x) for x in grid])
-            flips = np.nonzero(np.diff(sign) != 0)[0]
-            root = None
-            if flips.size:
-                import scipy.optimize
-
-                i = flips[0]
-                root = scipy.optimize.brentq(residual, grid[i], grid[i + 1], xtol=1e-14)
+        root = _last_step_root(sequence, free_parameter)
         if root is None:
             raise ValueError("no sign change of the target residual in the search bracket")
         return validate(_with_field(sequence, free_parameter, root))

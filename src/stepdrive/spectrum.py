@@ -444,12 +444,12 @@ def _aligned_signal(sequence, t_end, per_step):
     return times, np.concatenate([grid[:n_full].ravel(), grid[n_full, :1]] + last)
 
 
-def model_error(sequence, model, t_s=None, per_step=64):
+def model_error(sequence, model, t_s=None):
     """Time-averaged absolute deviation of a model from the exact signal.
 
     eps = (1/t_s) * integral_0^t_s |P_exact(t) - P_model(t)| dt, by
-    trapezoidal quadrature on a boundary-aligned grid with at least 64
-    samples per step; P_exact comes from the line tables.
+    trapezoidal quadrature on a boundary-aligned grid with 64 samples per
+    step; P_exact comes from the line tables.
 
     Parameters
     ----------
@@ -458,8 +458,6 @@ def model_error(sequence, model, t_s=None, per_step=64):
         Anything with an ``evaluate(times)`` method.
     t_s : float or None
         Averaging horizon; None uses 40 periods.
-    per_step : int
-        Samples per step, at least 64.
 
     Returns
     -------
@@ -472,7 +470,7 @@ def model_error(sequence, model, t_s=None, per_step=64):
         raise ValueError("horizon must be positive")
     import numpy as np
 
-    times, exact = _aligned_signal(sequence, t_s, max(64, per_step))
+    times, exact = _aligned_signal(sequence, t_s, 64)
     approx = model.evaluate(times)
     value = float(np.trapezoid(np.abs(exact - approx), times)) / t_s
     return ModelError(value, t_s)

@@ -21,6 +21,7 @@ from stepdrive import (
     effective_with_jump,
     evolve_many,
     jump_sequence,
+    transition_probabilities,
 )
 
 from helpers import large_phase_drive, oracle_projection
@@ -471,6 +472,41 @@ def test_scan_resolves_the_last_step_of_three(tmp_path, capsys):
     assert len(cells) == 6 and all(map(math.isfinite, cells))
 
 
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 8])
+def test_scan_p12max_is_the_sampled_maximum_over_40_periods(tmp_path, capsys, n_steps):
+    # P12'' <= 2 E_n**2 inside step n, and the 64 samples per step include
+    # the step boundaries, so the sampled maximum misses the true one by at
+    # most (E_n tau_n / 64)**2 / 4; a dense 8192-per-step grid misses it by
+    # its own such bound, and 1e-12 covers the rounding of the two routes
+    rng = np.random.default_rng(n_steps)
+    fields = [rng.uniform(-40.0, 40.0, n_steps), rng.uniform(0.2, 2.0, n_steps),
+              rng.uniform(-math.pi, math.pi, n_steps), rng.uniform(0.05, 1.5, n_steps)]
+    text = "".join("%s = %s\n" % (key, ", ".join(map(repr, values.tolist())))
+                   for key, values in zip(cli._CONFIG_KEYS, fields))
+    path = write_config(tmp_path, text)
+    assert cli.main(["scan", path, "--vary", "delta1=-40:40:5", "--metric", "P12max"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "delta1,P12max"
+    assert len(lines) == 6
+    for line in lines[1:]:
+        delta1, p12max = (float(v) for v in line.split(","))
+        fields[0][0] = delta1
+        seq = PulseSequence.from_arrays(*fields)
+        bounds = seq.boundaries
+        within = np.concatenate([np.linspace(t0, t1, 8193) for t0, t1 in zip(bounds, bounds[1:])])
+        dense = max(transition_probabilities(seq, within + k * seq.period).max()
+                    for k in range(40))
+        phases = [s.energy * s.tau for s in seq.steps]
+        assert dense - p12max <= max(phases) ** 2 / 64**2 / 4 + 1e-12
+        assert p12max - dense <= max(phases) ** 2 / 8192**2 / 4 + 1e-12
+        if n_steps == 1:
+            # (epsilon / E)**2 sin(E t)**2 peaks within 40 periods
+            (step,) = seq.steps
+            assert 40.0 * phases[0] >= 0.5 * math.pi
+            peak = (step.epsilon / step.energy) ** 2
+            assert -1e-12 <= peak - p12max <= phases[0] ** 2 / 64**2 / 4 + 1e-12
+
+
 def test_scan_marks_failed_cells_nan(tmp_path, capsys):
     # the default metric needs a strong effective detuning; this drive has
     # almost none, so its cell must come out nan instead of crashing
@@ -721,6 +757,74 @@ def test_cli_start_up_asks_for_one_blas_thread_and_no_process_pool(start_up_repo
     # only `scan --jobs` above 1 loads concurrent.futures
     for stage in ("import",) + _REQUESTS:
         assert start_up_report[stage]["concurrent"] == [], stage
+
+
+# Runs in a fresh interpreter, with SciPy blocked when asked: designs a
+# complete transition by each free field of the last step of a 1-, 2- and
+# 3-step drive, then runs every subcommand on the README pair, and prints
+# each result, error message, exit code and output.
+_NO_SCIPY_PROBE = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import stepdrive.cli as cli
+from stepdrive import PulseSequence, design_manipulation
+
+drives, commands = json.loads(sys.argv[2])
+for arrays in drives:
+    seq = PulseSequence.from_arrays(*arrays)
+    for field in ("detuning", "coupling", "phase", "durations"):
+        try:
+            print(len(arrays[0]), field, design_manipulation(seq, "complete_transition", field))
+        except ValueError as exc:
+            print(len(arrays[0]), field, "ValueError:", exc)
+for argv in commands:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    print(" ".join(argv[:1] + argv[2:]), "exit", code)
+    print(out.getvalue())
+"""
+
+# resonant first steps, so that the phase of the last step can zero b(T)
+_DESIGN_DRIVES = [
+    ([2.5], [1.1], [0.0], [0.35]),
+    ([0.3, 2.0], [1.1, 0.9], [0.0, 0.4], [1.0, 0.8]),
+    ([0.3, 1.0, 2.0], [1.1, 1.0, 0.9], [0.0, 0.7, 0.4], [1.0, 0.5, 0.6]),
+]
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    path = write_config(tmp_path, PAIR_CONFIG)
+    commands = [
+        ["propagate", path, "--tgrid", "0:50:2001"],
+        ["heff", path, "--branch", "principal"],
+        ["heff", path, "--jump-lambda", "0.33"],
+        ["spectrum", path, "--lmin", "-4", "--lmax", "4"],
+        ["classify", path, "--tol", "1e-3"],
+        ["scan", path, "--vary", "delta2=0:100:41", "--metric", "eps_m"],
+        ["scan", path, "--vary", "delta1=0:10:11", "--vary", "tau2=0.1:2:20"],
+        ["scan", path, "--vary", "delta2=30:50:5", "--resolve-tau", "2"],
+        ["scan", path, "--vary", "delta2=30:50:5", "--metric", "P12max"],
+        ["beat", path],
+    ]
+    request = json.dumps([_DESIGN_DRIVES, commands])
+    outputs = {
+        mode: subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY_PROBE, mode, request],
+            env=_child_env(), capture_output=True, text=True, check=True,
+        ).stdout
+        for mode in ("block", "allow")
+    }
+    assert outputs["block"] == outputs["allow"]
+    lines = outputs["block"].splitlines()
+    designs = lines[:4 * len(_DESIGN_DRIVES)]
+    # one step alone cannot zero b(T) by its phase; every other design succeeds
+    assert [line for line in designs if "Error" in line] == [
+        "1 phase ValueError: no sign change of the target residual in the search bracket"
+    ]
+    exits = [line for line in lines if " exit " in line]
+    assert [line.rsplit(" ", 1)[1] for line in exits] == ["0"] * len(commands)
 
 
 # Runs in a fresh interpreter: imports numpy first when asked, then

@@ -1,6 +1,7 @@
 """Phenomena flags, beat predictions, phase recovery, and sequence design."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -23,7 +24,9 @@ from stepdrive import (
     phase_from_beat,
     transition_probabilities,
 )
+from stepdrive import phenomena
 from stepdrive.phenomena import _FREE_FIELDS, _with_field
+from stepdrive.propagator import _window_starts, compose
 from stepdrive.spectrum import _aligned_signal
 
 from helpers import mp_propagator, quarter_cycle_sequence, resonant_plus_detuned
@@ -420,6 +423,27 @@ def scalar_loop_roots(seq, field):
     ]
 
 
+def assert_bisected_root(seq, field, got, reference):
+    """Checks on a detuning or coupling root against brentq's ``reference``.
+
+    (a) b(T) changes sign between ``got`` and one of its float neighbours,
+    or is 0 at ``got``: the bisection ends on two neighbouring floats, which
+    is tighter than brentq's xtol = 1e-14.  (b) ``got`` lies within
+    brentq's documented bound of its root, xtol + rtol |root| with
+    rtol = 4 eps, plus one ulp.
+    """
+
+    def residual(x):
+        return period_propagator(_with_field(seq, field, x)).b
+
+    b = residual(got)
+    if b != 0.0:
+        assert any(residual(math.nextafter(got, side)) * b < 0.0
+                   for side in (-math.inf, math.inf))
+    bound = 1e-14 + 4.0 * sys.float_info.epsilon * abs(reference) + math.ulp(reference)
+    assert abs(got - reference) <= bound
+
+
 @pytest.mark.parametrize(
     "arrays, field",
     [
@@ -440,8 +464,8 @@ def test_design_finds_the_first_root_of_the_search(arrays, field):
     if field == "durations":
         assert got == pytest.approx(roots[0], rel=1e-11)
     else:
-        # the same bracket and brentq as the reference search
-        assert got == roots[0]
+        # the same bracket as the reference search, bisected instead of brentq
+        assert_bisected_root(seq, field, got, roots[0])
 
 
 @pytest.mark.parametrize("field", ["durations", "phase"])
@@ -494,6 +518,54 @@ def test_design_closed_form_is_the_first_root_of_the_search(
         assert abs(float(mp_propagator(out)[1])) <= bound
 
 
+@seed(18)
+@settings(max_examples=40, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.floats(-40.0, 40.0), st.floats(0.0, 2.0),
+                  st.floats(-math.pi, math.pi), st.floats(0.01, 2.0)),
+        min_size=1, max_size=8,
+    ),
+    null_last=st.booleans(),
+    x=st.floats(-400.0, 400.0) | st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
+)
+@pytest.mark.parametrize("field", ["detuning", "coupling"])
+def test_last_step_residual_is_the_period_propagator_b(field, steps, null_last, x):
+    """The root search reads b(T) as U_N applied to the prefix P, and gets
+    the bits of period_propagator on the rebuilt sequence, signed zeros
+    included: at every point it evaluates, and at the grid ends, +/-0,
+    +/-1e-300 and a drawn value of the field."""
+    if null_last:
+        steps[-1] = (0.0, 0.0) + steps[-1][2:]
+    seq = PulseSequence.from_arrays(*zip(*steps))
+    name = _FREE_FIELDS[field]
+    (*_, prefix), _ = _window_starts(seq)
+
+    def reference(value):
+        return period_propagator(_with_field(seq, field, value)).b
+
+    seen = []
+
+    def spy(left, step, s):
+        out = compose(left, step, s)
+        seen.append((left, step, s, out.b))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(phenomena, "compose", spy)
+        phenomena._last_step_root(seq, field)
+    assert seen
+    for left, step, s, b in seen:
+        assert left == prefix and s == step.tau
+        assert step._replace(**{name: getattr(seq.steps[-1], name)}) == seq.steps[-1]
+        assert b.hex() == reference(getattr(step, name)).hex()
+    scale = max(max(abs(s.delta), s.epsilon) for s in seq.steps)
+    ends = (-10.0, 10.0) if field == "detuning" else (1e-6, 20.0)
+    for value in (x, 0.0, -0.0, 1e-300, -1e-300) + tuple(scale * e for e in ends):
+        step = seq.steps[-1]._replace(**{name: value})
+        assert compose(prefix, step, step.tau).b.hex() == reference(value).hex()
+
+
 @seed(16)
 @settings(max_examples=10, deadline=None)
 @given(
@@ -533,8 +605,8 @@ def test_design_tunes_the_last_step_of_any_drive(field, n, steps, null_last):
         # the smaller of the two roots on the circle, as the search finds it
         assert abs(math.remainder(got - roots[0], 2.0 * math.pi)) < 1e-9
     else:
-        # the same bracket and brentq as the reference search
-        assert got == roots[0]
+        # the same bracket as the reference search, bisected instead of brentq
+        assert_bisected_root(seq, field, got, roots[0])
     with mpmath.workdps(40):
         assert abs(float(mp_propagator(out)[1])) <= 1e-12
 
