@@ -59,7 +59,6 @@ from .spectrum import (
     fourier_numeric,
     model_error,
     piecewise_coefficients,
-    piecewise_evaluate,
     two_step_empirical_model,
     write_csv,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "period_propagator",
     "phase_from_beat",
     "piecewise_coefficients",
-    "piecewise_evaluate",
     "step_propagator",
     "transition_probabilities",
     "transition_probability",

@@ -18,6 +18,7 @@ branch-ambiguous effective Hamiltonian.
 
 import argparse
 import collections
+import functools
 import itertools
 import math
 import os
@@ -79,7 +80,7 @@ def read_config(path):
         Validated sequence.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise ConfigError(path, 0, "cannot read config: %s" % (exc,))
@@ -255,20 +256,19 @@ def _parse_vary(text):
     return name, int(index_text), _parse_grid(grid_text, "--vary")
 
 
-def _scan_cell(payload):
+def _scan_cell(arrays, fields, metric, resolve, values):
     """Evaluate one scan cell; top level so process pools can pickle it.
 
-    Returns (flat index, values, metric, reason): a cell whose metric is
-    undefined gets nan and the message of the error that refused it.
+    Returns (metric, reason): a cell whose metric is undefined gets nan and
+    the message of the error that refused it.
     """
-    (flat_index, arrays, fields, values, metric, resolve_tau) = payload
     arrays = {k: list(v) for k, v in arrays.items()}
     for (name, index), value in zip(fields, values):
         arrays[name][index - 1] = value
     reason = None
     try:
         sequence = PulseSequence.from_arrays(*(arrays[key] for key in _CONFIG_KEYS))
-        if resolve_tau is not None:
+        if resolve:
             sequence = design_manipulation(
                 sequence, "complete_transition", "durations"
             )
@@ -282,7 +282,7 @@ def _scan_cell(payload):
     except (ValueError, ArithmeticError) as exc:
         result = math.nan
         reason = str(exc)
-    return flat_index, values, result, reason
+    return result, reason
 
 
 def cmd_scan(args):
@@ -311,30 +311,29 @@ def cmd_scan(args):
     _check_points(math.prod(a[2][2] for a in axes), "the scan grid")
     import numpy as np
 
-    # row-major cells: the flat index runs fastest along the last axis
+    # row-major cells, the last axis fastest; both maps keep this order
     grids = [np.linspace(*a[2]).tolist() for a in axes]
-    payloads = [
-        (i, arrays, fields, values, args.metric, args.resolve_tau)
-        for i, values in enumerate(itertools.product(*grids))
-    ]
+    cells = list(itertools.product(*grids))
+    cell = functools.partial(
+        _scan_cell, arrays, fields, args.metric, args.resolve_tau is not None
+    )
 
-    workers = min(args.jobs, len(payloads))
+    workers = min(args.jobs, len(cells))
     if workers > 1:
         # about four chunks per worker, as multiprocessing.Pool.map sizes them
-        chunk = -(-len(payloads) // (4 * workers))
+        chunk = -(-len(cells) // (4 * workers))
         import concurrent.futures  # only a parallel scan pays for it
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_cell, payloads, chunksize=chunk))
+            results = list(pool.map(cell, cells, chunksize=chunk))
     else:
-        results = [_scan_cell(p) for p in payloads]
-    results.sort(key=lambda r: r[0])
+        results = list(map(cell, cells))
 
-    table = np.array([values + (result,) for _, values, result, _ in results])
+    table = np.array([values + (result,) for values, (result, _) in zip(cells, results)])
     _write_rows(",".join(["%s%d" % f for f in fields] + [args.metric]), table.T)
     # the numbers in a message belong to its cell; the rest names the reason
     reasons = collections.Counter(
-        re.sub(_NUMBER, "N", reason) for *_, reason in results if reason is not None
+        re.sub(_NUMBER, "N", reason) for _, reason in results if reason is not None
     )
     for reason, count in reasons.most_common():
         print("stepdrive: scan: %d of %d cells are nan: %s" % (count, len(results), reason),

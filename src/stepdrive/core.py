@@ -191,7 +191,9 @@ def validate(sequence):
     EmptySequenceError
         If the step list is empty.
     ValueError
-        If any duration is non-positive or any field is not finite.
+        If any duration is non-positive or any field is not finite; if a
+        step's phase E*tau is not finite; or if the period T or the
+        frequency 2*pi/T is not finite.
     """
     if len(sequence.steps) == 0:
         raise EmptySequenceError("pulse sequence has no steps")
@@ -202,11 +204,16 @@ def validate(sequence):
                 raise ValueError("step %d: %s is not finite" % (i + 1, name))
         if step.tau <= 0.0:
             raise ValueError("step %d: duration must be positive" % (i + 1))
+        if not math.isfinite(step.energy * step.tau):
+            raise ValueError("step %d: E*tau is not finite" % (i + 1))
         eps, theta = step.epsilon, step.theta
         if eps < 0.0:
             eps, theta = -eps, theta + math.pi
         steps.append(DriveStep(step.delta, eps, _fold_angle(theta), step.tau))
-    return PulseSequence(tuple(steps))
+    result = PulseSequence(tuple(steps))
+    if not (math.isfinite(result.period) and math.isfinite(result.omega_t)):
+        raise ValueError("period T = %r: T and 2*pi/T must be finite" % (result.period,))
+    return result
 
 
 class PropagatorCoeffs(namedtuple("PropagatorCoeffs", ["a", "b", "c", "d"])):

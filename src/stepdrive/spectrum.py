@@ -35,7 +35,7 @@ from .core import (
     SpectralModel,
 )
 from .effective import effective_hamiltonian
-from .propagator import _step_index, _window_starts, rotate
+from .propagator import _window_starts, rotate
 
 # numpy is imported by the functions that build arrays (see the package __init__)
 
@@ -176,13 +176,10 @@ def _tones(phase):
     return np.stack([np.ones_like(phase), np.cos(phase), np.sin(phase)], axis=-1)
 
 
-def _window_tones(sequence, windows, offsets):
-    """h(2*E_n*(offset - t_n)), shape (m, 3), of m offsets in windows n."""
-    import numpy as np
-
-    energies = np.array([step.energy for step in sequence.steps])
-    local = offsets - sequence.boundaries[windows]
-    return _tones(2.0 * energies[windows] * local)
+def _window_tones(step, start, offsets):
+    """h(2*E*(offset - start)), shape (m, 3), of m offsets in the window of
+    ``step`` that opens at ``start``."""
+    return _tones(2.0 * step.energy * (offsets - start))
 
 
 def _comb(x, K):
@@ -274,8 +271,8 @@ def piecewise_coefficients(sequence, K):
     -------
     ndarray
         Shape (N, 3, K): entry [n, :, k] is C_n @ h(2*k*Theta), the
-        weights of (1, cos, sin)(2*E_n*s) in window n of period k; see
-        :func:`piecewise_evaluate` for the reconstruction.
+        weights of h = (1, cos, sin) in window n of period k, so that
+        P(k*T + t_n + s) = h(2*E_n*s) @ coeffs[n, :, k] for 0 <= s <= tau_n.
     """
     if K < 1:
         raise ValueError("need at least one period, got K=%r" % (K,))
@@ -283,35 +280,6 @@ def piecewise_coefficients(sequence, K):
 
     tables, _, turn = _line_table(sequence)
     return tables @ _tones(turn * np.arange(K)).T
-
-
-def piecewise_evaluate(sequence, coeffs, times):
-    """Evaluate the piecewise window model at the given times.
-
-    Exact reconstruction of the transition probability from
-    :func:`piecewise_coefficients`, for any step count and times in
-    [0, K*T]; t = K*T is the end of period K-1.
-
-    Raises
-    ------
-    ValueError
-        If a time is negative, non-finite or beyond K periods.
-    """
-    import numpy as np
-
-    period = sequence.period
-    n_periods = coeffs.shape[2]
-    times = np.asarray(times, dtype=float)
-    # K*T rounded as a product or as the end of period K-1; nan fails both tests
-    end = max(n_periods * period, (n_periods - 1) * period + period)
-    if times.size and not (0.0 <= times.min() and times.max() <= end):
-        raise ValueError("times must lie in [0, K*T] with K = %d" % (n_periods,))
-    flat = times.ravel()
-    k = np.minimum(np.floor(flat / period), n_periods - 1).astype(int)
-    tprime = flat - k * period
-    windows = _step_index(sequence.boundaries, tprime)
-    tones = _window_tones(sequence, windows, tprime)
-    return np.einsum("mu,mu->m", tones, coeffs[windows, :, k]).reshape(times.shape)
 
 
 def fourier_closed_form_two_step(sequence, l_range=(-4, 4), K=None):
@@ -437,10 +405,11 @@ def _aligned_signal(sequence, t_end, per_step):
     coeffs = piecewise_coefficients(sequence, n_full + 1)
     # each window opens on its lower boundary; T is offset 0 of the next period
     heads = [np.concatenate(([t0], offsets[:-1])) for t0, offsets in zip(bounds, full)]
+    steps = sequence.steps
     grid = np.concatenate([
-        _window_tones(sequence, n, offsets) @ coeffs[n] for n, offsets in enumerate(heads)
+        _window_tones(steps[n], bounds[n], o) @ coeffs[n] for n, o in enumerate(heads)
     ]).T
-    last = [_window_tones(sequence, n, o) @ coeffs[n, :, n_full] for n, o in enumerate(tail)]
+    last = [_window_tones(steps[n], bounds[n], o) @ coeffs[n, :, n_full] for n, o in enumerate(tail)]
     return times, np.concatenate([grid[:n_full].ravel(), grid[n_full, :1]] + last)
 
 

@@ -99,6 +99,38 @@ def test_read_config_reports_lines_and_messages(tmp_path):
         cli.read_config(path)
 
 
+def test_read_config_accepts_a_byte_order_mark(tmp_path):
+    plain = write_config(tmp_path, PAIR_CONFIG, name="plain.cfg")
+    marked = tmp_path / "bom.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + PAIR_CONFIG.encode())
+    assert cli.read_config(str(marked)) == cli.read_config(plain)
+
+
+@pytest.mark.parametrize("epsilon, tau", [
+    ("1, 1", "1e308, 1e308"),  # T = inf
+    ("1, 1", "1e-320, 1e-320"),  # 2*pi/T = inf
+    ("1e300, 1", "1e10, 1"),  # E*tau = inf in step 1
+], ids=["infinite_period", "subnormal_period", "infinite_phase"])
+def test_a_non_finite_period_or_phase_exits_1_in_every_command(
+    tmp_path, capsys, epsilon, tau
+):
+    path = write_config(
+        tmp_path, "delta = 0, 0\nepsilon = %s\ntheta = 0, 0\ntau = %s\n" % (epsilon, tau)
+    )
+    for argv in (
+        ["heff", path],
+        ["propagate", path, "--tgrid", "0:3:4"],
+        ["spectrum", path],
+        ["classify", path],
+        ["scan", path, "--vary", "delta1=0:1:2"],
+        ["beat", path],
+    ):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must be finite" in err or "E*tau is not finite" in err
+
+
 def test_config_error_is_a_value_error():
     assert issubclass(cli.ConfigError, ValueError)
 

@@ -1,6 +1,7 @@
 """Domain types: steps, sequences, validation, and model containers."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, seed
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import stepdrive
 from stepdrive import (
     BeatPrediction,
     DriveStep,
@@ -98,6 +100,29 @@ def test_validate_rejects_non_finite_fields():
     seq = PulseSequence((DriveStep(0.0, math.inf, 0.0, 1.0),))
     with pytest.raises(ValueError, match="step 1: epsilon is not finite"):
         validate(seq)
+
+
+@pytest.mark.parametrize("epsilon, tau, message", [
+    # T overflows to inf, and with it every period count and line frequency
+    ((1.0, 1.0), (1e308, 1e308), r"period T = inf: T and 2\*pi/T must be finite"),
+    # T is a subnormal and 2*pi/T overflows
+    ((1.0, 1.0), (1e-320, 1e-320), r"period T = 2e-320: T and 2\*pi/T must be finite"),
+    # each field and T are finite, but the phase E*tau of step 1 is not
+    ((1e300, 1.0), (1e10, 1.0), r"step 1: E\*tau is not finite"),
+    ((1.0, 1.5e308), (1.0, 2.0), r"step 2: E\*tau is not finite"),
+], ids=["infinite_period", "subnormal_period", "step_1_phase", "step_2_phase"])
+def test_from_arrays_rejects_a_non_finite_period_or_phase(epsilon, tau, message):
+    with pytest.raises(ValueError, match=message):
+        PulseSequence.from_arrays([0.0, 0.0], epsilon, [0.0, 0.0], tau)
+
+
+def test_package_all_lists_every_public_name():
+    public = {
+        name for name, value in vars(stepdrive).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(stepdrive.__all__) == sorted(public)
+    assert len(stepdrive.__all__) == len(set(stepdrive.__all__))
 
 
 def test_validate_folds_negative_coupling_into_phase():

@@ -19,15 +19,13 @@ from stepdrive import (
     fourier_numeric,
     model_error,
     piecewise_coefficients,
-    piecewise_evaluate,
     period_propagator,
     transition_probabilities,
     two_step_empirical_model,
     write_csv,
 )
 from stepdrive.oracle import numeric_fourier
-from stepdrive.propagator import _step_index
-from stepdrive.spectrum import _aligned_signal, _window_tones
+from stepdrive.spectrum import _aligned_signal
 
 from helpers import (
     large_phase_drive,
@@ -60,23 +58,12 @@ LONG_WINDOW_TOL = 1e-3
 SAME_WINDOW_TOL = 1e-6
 
 
-def test_piecewise_model_reconstructs_signal_exactly():
-    seq = resonant_plus_detuned()
-    K = 12
-    coeffs = piecewise_coefficients(seq, K)
-    assert coeffs.shape == (2, 3, K)
-    times = _aligned_signal(seq, K * seq.period, 16)[0]
-    exact = transition_probabilities(seq, times)
-    got = piecewise_evaluate(seq, coeffs, times)
-    assert np.max(np.abs(got - exact)) < 1e-12
-    # the window ends at K*T; beyond it there are no coefficients to read
-    seq = PulseSequence.from_arrays([0.0, 5.0], [1.0, 1.0], [0.0, 0.0], [0.7, 0.4])
-    coeffs = piecewise_coefficients(seq, 4)
-    end = piecewise_evaluate(seq, coeffs, [4.0 * seq.period])
-    assert end == pytest.approx(transition_probabilities(seq, [4.0 * seq.period]), abs=1e-12)
-    for t in (4.5 * seq.period, 10.3 * seq.period, -1e-9, math.nan, math.inf):
-        with pytest.raises(ValueError, match="must lie in"):
-            piecewise_evaluate(seq, coeffs, [0.5 * seq.period, t])
+def _aligned_bound(seq, t_end):
+    # the line tables evaluate the exact points k*T + s_j, the propagator
+    # the rounded times fl(s_j + k*T): they differ by the slope of P, at
+    # most 2*E_max, times that rounding
+    e_max = max(step.energy for step in seq.steps)
+    return 2e-13 + 4.0 * e_max * math.ulp(t_end)
 
 
 def _three_half_turns():
@@ -101,51 +88,20 @@ def test_piecewise_model_reconstructs_any_step_count(seq):
     K = 9
     coeffs = piecewise_coefficients(seq, K)
     assert coeffs.shape == (len(seq.steps), 3, K)
-    rng = np.random.default_rng(len(seq.steps))
-    times = np.concatenate([
-        _aligned_signal(seq, K * seq.period, 8)[0],
-        rng.uniform(0.0, K * seq.period, 200),
-    ])
-    exact = transition_probabilities(seq, times)
-    got = piecewise_evaluate(seq, coeffs, times)
-    assert np.max(np.abs(got - exact)) < 1e-12
-    # any shape of times comes back in that shape
-    assert piecewise_evaluate(seq, coeffs, times[:6].reshape(2, 3)).shape == (2, 3)
-
-
-def test_piecewise_evaluate_windows_match_searchsorted_at_edges():
-    # every step edge of every period, with the floats on either side, up to
-    # t = K*T: the window is the count of interior edges at or below t'
-    seq = PulseSequence.from_arrays([1.0, 0.0, -3.0, 20.0], [1.0, 0.0, 2.0, 0.5],
-                                    [0.0, 0.0, 0.5, -1.0], [0.8, 0.6, 0.3, 1e-3])
-    K = 3
-    period = seq.period
-    end = K * period
-    coeffs = piecewise_coefficients(seq, K)
-    edges = (np.arange(K)[:, None] * period + seq.boundaries).ravel()
-    times = np.clip(np.concatenate([
-        edges, np.nextafter(edges, math.inf), np.nextafter(edges, -math.inf)
-    ]), 0.0, end)
-    k = np.minimum(np.floor(times / period), K - 1).astype(int)
-    tprime = times - k * period
-    windows = np.searchsorted(seq.boundaries[1:-1], tprime, side="right")
-    assert np.array_equal(_step_index(seq.boundaries, tprime), windows)
-    want = np.einsum("mu,mu->m", _window_tones(seq, windows, tprime), coeffs[windows, :, k])
-    assert np.array_equal(piecewise_evaluate(seq, coeffs, times), want)
+    # the line tables on the aligned grid against the propagator
+    times, got = _aligned_signal(seq, K * seq.period, 8)
+    bound = _aligned_bound(seq, K * seq.period)
+    assert np.max(np.abs(got - transition_probabilities(seq, times))) <= bound
 
 
 def test_aligned_signal_matches_the_propagator_on_its_grid():
-    # the line tables evaluate the exact points k*T + s_j, the propagator
-    # the rounded times fl(s_j + k*T): they differ by the slope of P, at
-    # most 2*E_max, times that rounding
     rng = np.random.default_rng(41)
     for i in range(60):
         seq = random_sequence(rng, lo=0.1, hi=10.0)
         periods = 40.0 if i % 2 else 17.0 + rng.uniform(0.05, 0.95)
         t_end = periods * seq.period
         times, got = _aligned_signal(seq, t_end, 16)
-        e_max = max(step.energy for step in seq.steps)
-        bound = 2e-13 + 4.0 * e_max * math.ulp(t_end)
+        bound = _aligned_bound(seq, t_end)
         assert np.max(np.abs(got - transition_probabilities(seq, times))) <= bound
 
 
@@ -346,6 +302,8 @@ def test_closed_form_input_validation():
         fourier_numeric(seq, K=0)
     with pytest.raises(ValueError, match="empty index range"):
         fourier_numeric(seq, l_range=(2, 1))
+    with pytest.raises(ValueError, match="at least one period"):
+        piecewise_coefficients(seq, 0)
 
 
 def test_dominant_model_truncates_sorted_components():
