@@ -405,8 +405,8 @@ def build_parser():
     p.add_argument("--lmin", type=int, default=-4)
     p.add_argument("--lmax", type=int, default=4)
     p.add_argument("--periods", type=int, default=None,
-                   help="periods in the probe window (default: the infinite "
-                        "window for two steps, 256 otherwise)")
+                   help="periods in the probe window, 1 to 1000000 (default: "
+                        "the infinite window for two steps, 256 otherwise)")
     p.add_argument("--max-terms", type=int, default=3)
     p.set_defaults(func=cmd_spectrum)
 

@@ -17,7 +17,7 @@ from collections import namedtuple
 from .core import BeatPrediction, PulseSequence, validate
 from .effective import effective_hamiltonian
 from .propagator import _window_starts, compose, period_propagator
-from .spectrum import _aligned_signal, fourier_numeric
+from .spectrum import _aligned_signal, dominant_model, fourier_numeric
 
 # numpy is imported by the functions that build arrays (see the package __init__)
 
@@ -26,6 +26,9 @@ _AREA_TOL = 1e-6
 
 # spectral components below this amplitude are ignored by the beat flag
 _BEAT_FLOOR = 0.02
+
+# periods in the beat flag's projection window
+_BEAT_PERIODS = 4096
 
 
 class PhenomenonFlag(namedtuple("PhenomenonFlag", ["name", "active", "residual", "index"])):
@@ -82,9 +85,9 @@ def classify(sequence, tol=1e-3, max_index=64):
     * swapping: |cos(Theta)| = |a| < tol, stepwise already at one period;
     * beat: the two dominant spectral lines are close in frequency
       (difference below a tenth of the sum) and comparable in amplitude
-      (within a factor 3).  The probing window is sized to resolve the
-      predicted line spacing; a pair too close to resolve within 4096
-      periods shows no beat on any practical horizon and is not flagged.
+      (within a factor 3).  The lines come from a fixed 4096-period
+      window; a pair too close to resolve within it shows no beat on any
+      practical horizon and is not flagged.
 
     Parameters
     ----------
@@ -123,20 +126,10 @@ def classify(sequence, tol=1e-3, max_index=64):
             break
 
     beat = PhenomenonFlag("beat", False, math.inf, None)
-    # the canonical beat pair (2*omega_eff, omega_T - 2*omega_eff) must be
-    # resolved by the projection window, so size K to its predicted spacing;
-    # pairs still unresolved at the cap have no beat within any practical
-    # horizon and merge into a single line instead
-    theta_pos = theta if per.a >= 0.0 else math.pi - theta
-    spacing = abs(sequence.omega_t - 4.0 * theta_pos / sequence.period)
-    K = 64
-    if spacing > 0.0:
-        needed = 4.0 * math.pi / (spacing * sequence.period)
-        K = int(min(4096.0, max(64.0, math.ceil(needed))))
-    spectral = fourier_numeric(sequence, l_range=(-3, 3), K=K)
-    strong = [c for c in spectral.components if c.amplitude >= _BEAT_FLOOR]
-    if len(strong) >= 2:
-        first, second = strong[0], strong[1]
+    spectral = fourier_numeric(sequence, (-3, 3), K=_BEAT_PERIODS)
+    strong = dominant_model(spectral, 2, _BEAT_FLOOR).components
+    if len(strong) == 2:
+        first, second = strong
         diff = abs(first.frequency - second.frequency)
         total = abs(first.frequency + second.frequency)
         if total > 0.0:
@@ -288,8 +281,6 @@ def _fit_time_shift(sequence, varpi, varpi_prime, omega_b):
     gram = basis @ basis.T
 
     mean_tone = 0.5 * abs(varpi + varpi_prime)
-    if mean_tone == 0.0:
-        return 0.0
     half_range = max(math.pi / omega_b if omega_b > 0.0 else 0.0,
                      math.pi / mean_tone, period)
     step = math.pi / mean_tone / 40.0

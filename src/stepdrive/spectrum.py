@@ -42,8 +42,10 @@ from .propagator import _window_starts, rotate
 # denominators |probe +/- 2 E_n| below this are treated as exactly resonant
 _DEGENERATE_TOL = 1e-10
 
-# frequencies closer than this (in units of omega_T) are one spectral line
-_FOLD_TOL = 1e-9
+# longest projection window: the comb sums carry K times the rounding of a
+# probe phase, about ulp(omega*T), which moves line phases by about 2e-4 at
+# 1e12 periods and passes one radian near 1e15
+_MAX_PERIODS = 1_000_000
 
 # in the infinite-window limit, comb lines closer than this (in units of
 # 1/T) to a probe are that probe's line
@@ -95,7 +97,7 @@ def _probe_list(l_range, omega_eff, omega_t):
     return probes
 
 
-def _assemble_components(raw, omega_t, cap, dedup_tol):
+def _assemble_components(raw, cap, dedup_tol):
     """Fold, deduplicate, and sort raw (family, l, frequency, z) probes.
 
     Negative frequencies fold to positive ones with conjugated phasors.
@@ -107,7 +109,6 @@ def _assemble_components(raw, omega_t, cap, dedup_tol):
     dedup_tol: the window cannot tell them from the constant, so the
     offset already carries them.
     """
-    dedup_tol = max(dedup_tol, _FOLD_TOL * omega_t)
     comps = []
     kept = []
     for family, l, freq, z in raw:
@@ -202,12 +203,13 @@ def _line_spectrum(sequence, l_range, K, warn):
     """Exact line spectrum over K periods, or the infinite window for None."""
     if K is not None and K < 1:
         raise ValueError("need at least one period, got K=%r" % (K,))
+    if K is not None and K > _MAX_PERIODS:
+        raise ValueError("at most %d periods, got K=%r" % (_MAX_PERIODS, K))
     import numpy as np
 
     period = sequence.period
-    omega_t = sequence.omega_t
     heff = effective_hamiltonian(sequence, branch="positive_a")
-    probes = _probe_list(l_range, heff.omega_eff, omega_t)
+    probes = _probe_list(l_range, heff.omega_eff, sequence.omega_t)
     tables, theta, _ = _line_table(sequence)
     starts = sequence.boundaries[:-1]
 
@@ -231,7 +233,7 @@ def _line_spectrum(sequence, l_range, K, warn):
     ]
     cap = 2.0 * math.pi / sequence.min_tau
     dedup = (_RESOLUTION if K is None else math.pi / K) / period
-    return SpectralModel(offset, _assemble_components(raw, omega_t, cap, dedup))
+    return SpectralModel(offset, _assemble_components(raw, cap, dedup))
 
 
 def fourier_numeric(sequence, l_range=(-4, 4), K=256, samples_per_step=64):
@@ -249,7 +251,8 @@ def fourier_numeric(sequence, l_range=(-4, 4), K=256, samples_per_step=64):
     l_range : (int, int)
         Inclusive range of the summation index l.
     K : int
-        Number of periods retained in the projection window.
+        Number of periods retained in the projection window, 1 to
+        1,000,000.
     samples_per_step : int
         Ignored: the projection needs no samples.  Still accepted so that
         callers written for an earlier sampled version keep working.
@@ -296,8 +299,8 @@ def fourier_closed_form_two_step(sequence, l_range=(-4, 4), K=None):
     l_range : (int, int)
         Inclusive range of the summation index l.
     K : int or None
-        Number of retained periods; None gives the infinite window, where
-        lines closer than pi/(1024*T) merge into one.
+        Number of retained periods, 1 to 1,000,000; None gives the infinite
+        window, where lines closer than pi/(1024*T) merge into one.
 
     Returns
     -------

@@ -354,6 +354,20 @@ def test_classify_prints_the_report(tmp_path, capsys):
     assert out == classify(seq, tol=1e-3, max_index=64).lines()
 
 
+def test_classify_prints_the_return_index(tmp_path, capsys):
+    # a null drive returns to the identity after one period
+    path = write_config(tmp_path, "delta = 0\nepsilon = 0\ntheta = 0\ntau = 1\n")
+    assert cli.main(["classify", path]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "cdt: yes residual=0",
+        "complete_transition: yes residual=0",
+        "periodic: yes residual=0 index=1",
+        "stepwise: no residual=inf",
+        "swapping: no residual=1",
+        "beat: no residual=inf",
+    ]
+
+
 def test_scan_matches_a_library_loop(tmp_path, capsys):
     path = write_config(tmp_path, PAIR_CONFIG)
     seq = cli.read_config(path)
@@ -634,6 +648,22 @@ def test_beat_prints_prediction_then_envelope(tmp_path, capsys):
     assert max(values) <= 1.0 + 1e-12
 
 
+def test_beat_without_a_beat_prints_40_periods(tmp_path, capsys):
+    # two identical resonant quarter-cycle steps: the tone pair coincides
+    path = write_config(tmp_path, "delta = 0, 0\nepsilon = 1, 1\ntheta = 0, 0\n"
+                                  "tau = 1.5707963267948966, 1.5707963267948966\n")
+    seq = cli.read_config(path)
+    assert cli.main(["beat", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "# omega_b = 0"
+    assert lines[5] == "t,envelope"
+    rows = [line.split(",") for line in lines[6:]]
+    assert len(rows) == 1001
+    assert float(rows[0][0]) == 0.0
+    assert float(rows[-1][0]) == 40.0 * seq.period
+    assert {row[1] for row in rows} == {"1"}
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     path = write_config(tmp_path, PAIR_CONFIG)
     assert cli.main(["warp", path]) == 1
@@ -657,6 +687,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         (["classify", path, "--tol=-1"], "tol must be finite and positive"),
         (["classify", path, "--tol", "inf"], "tol must be finite and positive"),
         (["spectrum", path, "--max-terms=-2"], "--max-terms must be non-negative"),
+        # beyond a million periods the rounding of the probe phases is noise
+        (["spectrum", path, "--periods", "1000001"], "at most 1000000 periods"),
+        (["spectrum", path, "--periods", "0"], "at least one period"),
         (["beat", detuned, "--resonant-tol", "20"], "resonant_tol must lie in (0, 10]"),
         (["beat", detuned, "--resonant-tol", "nan"], "resonant_tol must lie in (0, 10]"),
         (["beat", detuned, "--resonant-tol=-1"], "resonant_tol must lie in (0, 10]"),

@@ -114,6 +114,20 @@ def test_biased_pair_flags_nothing():
     assert classify(seq).active == ()
 
 
+def test_beat_flag_reads_lines_unmixed_by_a_short_window():
+    # over 64 periods a neighbouring line of this four-step drive leaks into
+    # the strong pair and flags a beat that 1,000,000 periods do not show
+    seq = PulseSequence.from_arrays(
+        [0.47619095043183285, 0.059386003879544805, 23.120840524235316, -30.920733058176076],
+        [4.3797498744614165, 0.26768684993163033, 4.600514674742618, 3.2939659462119675],
+        [0.053617654551502754, 2.3163644597907576, 0.41186316390897837, -1.6958784393266249],
+        [2.688662589653033, 0.1333245349709265, 0.41224230079875285, 2.804014596257913],
+    )
+    beat = classify(seq).beat
+    assert beat.active is False
+    assert beat.residual == pytest.approx(0.3784543247494671, rel=1e-12)
+
+
 def test_report_lines_are_printable():
     report = classify(resonant_plus_detuned())
     lines = report.lines()

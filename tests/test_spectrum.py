@@ -300,6 +300,10 @@ def test_closed_form_input_validation():
         fourier_closed_form_two_step(seq, K=0)
     with pytest.raises(ValueError, match="at least one period"):
         fourier_numeric(seq, K=0)
+    with pytest.raises(ValueError, match="at most 1000000 periods"):
+        fourier_numeric(seq, K=10**6 + 1)
+    with pytest.raises(ValueError, match="at most 1000000 periods"):
+        fourier_closed_form_two_step(seq, K=10**6 + 1)
     with pytest.raises(ValueError, match="empty index range"):
         fourier_numeric(seq, l_range=(2, 1))
     with pytest.raises(ValueError, match="at least one period"):
