@@ -24,12 +24,10 @@ if "numpy" not in _sys.modules and not any(
 from .core import (
     BeatPrediction,
     BranchAmbiguityError,
-    DegenerateFrequencyWarning,
     DriveStep,
     EffectiveHamiltonian,
     EmptySequenceError,
     MicromotionParams,
-    NoEnvelopeError,
     PropagatorCoeffs,
     PulseSequence,
     SpectralComponent,
@@ -75,13 +73,11 @@ from .phenomena import (
 __all__ = [
     "BeatPrediction",
     "BranchAmbiguityError",
-    "DegenerateFrequencyWarning",
     "DriveStep",
     "EffectiveHamiltonian",
     "EmptySequenceError",
     "MicromotionParams",
     "ModelError",
-    "NoEnvelopeError",
     "PhenomenaReport",
     "PhenomenonFlag",
     "PropagatorCoeffs",

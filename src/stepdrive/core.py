@@ -34,19 +34,6 @@ class BranchAmbiguityError(ArithmeticError):
     """
 
 
-class DegenerateFrequencyWarning(RuntimeWarning):
-    """Emitted when a spectral denominator vanishes.
-
-    The closed-form Fourier integrals contain denominators of the form
-    probe +/- 2*E_n; when one of them is numerically zero the exact
-    limiting expression is substituted and this warning is emitted.
-    """
-
-
-class NoEnvelopeError(RuntimeError):
-    """Raised when a signal has too few extrema to define a beat envelope."""
-
-
 class DriveStep(namedtuple("DriveStep", ["delta", "epsilon", "theta", "tau"])):
     """One constant segment of the driving field.
 
@@ -121,10 +108,6 @@ class PulseSequence(namedtuple("PulseSequence", ["steps"])):
         return validate(cls(steps))
 
     @property
-    def n_steps(self):
-        return len(self.steps)
-
-    @property
     def boundaries(self):
         """Cumulative segment boundaries tau'_0 = 0 < tau'_1 < ... < tau'_N."""
         import numpy as np
@@ -155,11 +138,6 @@ class PulseSequence(namedtuple("PulseSequence", ["steps"])):
     @property
     def min_tau(self):
         return min(s.tau for s in self.steps)
-
-    def rotated(self, offset):
-        """Cyclic rotation of the step list, step ``offset`` (0-based) first."""
-        k = offset % len(self.steps)
-        return PulseSequence(self.steps[k:] + self.steps[:k])
 
 
 def _fold_angle(angle):
@@ -382,12 +360,3 @@ class BeatPrediction(
         return 0.5 * (
             np.sin(self.varpi_1 * t) ** 2 + np.sin(self.varpi_1_prime * t) ** 2
         )
-
-    def to_spectral_model(self):
-        """The same model as a :class:`SpectralModel` (two cosine terms)."""
-        comps = []
-        for freq in (2.0 * self.varpi_1, 2.0 * self.varpi_1_prime):
-            comps.append(
-                SpectralComponent(freq, 0.25, _fold_angle(freq * self.t_p + math.pi), "sideband", None)
-            )
-        return SpectralModel(0.5, tuple(comps))

@@ -13,11 +13,13 @@ import math
 from collections import namedtuple
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
-import scipy.signal
 
-from .core import NoEnvelopeError
+# SciPy is imported by the two routes that need it (the 'expm' method and
+# envelope_extract), so the rest of the oracle runs on the runtime install
+
+
+class NoEnvelopeError(RuntimeError):
+    """Raised when a signal has too few extrema to define a beat envelope."""
 
 
 def _segment_hamiltonian(step):
@@ -30,6 +32,8 @@ def _segment_hamiltonian(step):
 def _segment_unitary(step, s, method):
     h = _segment_hamiltonian(step)
     if method == "expm":
+        import scipy.linalg
+
         return scipy.linalg.expm(-1j * s * h)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * s * w)) @ v.conj().T
@@ -169,6 +173,9 @@ def envelope_extract(times, values):
     NoEnvelopeError
         If fewer than three local maxima exist.
     """
+    import scipy.optimize
+    import scipy.signal
+
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     peaks, _ = scipy.signal.find_peaks(values)

@@ -26,14 +26,9 @@ Lines are labelled by their probe: "sideband" components sit at
 
 import cmath
 import math
-import warnings
 from collections import namedtuple
 
-from .core import (
-    DegenerateFrequencyWarning,
-    SpectralComponent,
-    SpectralModel,
-)
+from .core import SpectralComponent, SpectralModel
 from .effective import effective_hamiltonian
 from .propagator import _window_starts, rotate
 
@@ -61,28 +56,16 @@ def _phase_integral(x, tau):
     return (cmath.exp(1j * x * tau) - 1.0) / (1j * x)
 
 
-def _window_integral(omega, tone, tau, warn):
+def _window_integral(omega, tone, tau):
     """Projection of (1, cos(tone*s), sin(tone*s)) on exp(1j*omega*s).
 
-    Returns the three integrals over s in [0, tau].  When omega is within
-    the degenerate tolerance of +/-tone the limiting form is used and a
-    DegenerateFrequencyWarning is emitted (for probe frequencies only).
+    Returns the three integrals over s in [0, tau].  A probe on a window
+    tone, omega = +/-tone, is a regime like any other: the limiting form
+    of :func:`_phase_integral` keeps it exact.
     """
-    g0 = _phase_integral(omega, tau)
-    xp = omega + tone
-    xm = omega - tone
-    if warn and tone != 0.0 and (abs(xp) < _DEGENERATE_TOL or abs(xm) < _DEGENERATE_TOL):
-        warnings.warn(
-            "probe frequency %g is resonant with a window tone %g; "
-            "using the limiting form of the integral" % (omega, tone),
-            DegenerateFrequencyWarning,
-            stacklevel=3,
-        )
-    gp = _phase_integral(xp, tau)
-    gm = _phase_integral(xm, tau)
-    gc = 0.5 * (gp + gm)
-    gs = (gp - gm) / 2j
-    return g0, gc, gs
+    gp = _phase_integral(omega + tone, tau)
+    gm = _phase_integral(omega - tone, tau)
+    return _phase_integral(omega, tau), 0.5 * (gp + gm), (gp - gm) / 2j
 
 
 def _probe_list(l_range, omega_eff, omega_t):
@@ -199,7 +182,7 @@ def _comb(x, K):
     return cmath.exp(0.5j * (K - 1) * r) * (math.sin(0.5 * K * r) / (K * math.sin(0.5 * r)))
 
 
-def _line_spectrum(sequence, l_range, K, warn):
+def _line_spectrum(sequence, l_range, K):
     """Exact line spectrum over K periods, or the infinite window for None."""
     if K is not None and K < 1:
         raise ValueError("need at least one period, got K=%r" % (K,))
@@ -213,21 +196,21 @@ def _line_spectrum(sequence, l_range, K, warn):
     tables, theta, _ = _line_table(sequence)
     starts = sequence.boundaries[:-1]
 
-    def project(omega, warn):
+    def project(omega):
         # (2/KT) integral of P(t) exp(1j*omega*t) over the K periods
         phi = omega * period
         plus, minus = _comb(phi + 2.0 * theta, K), _comb(phi - 2.0 * theta, K)
         sums = np.array([_comb(phi, K), 0.5 * (plus + minus), -0.5j * (plus - minus)])
         windows = np.array([
-            _window_integral(omega, 2.0 * step.energy, step.tau, warn)
+            _window_integral(omega, 2.0 * step.energy, step.tau)
             for step in sequence.steps
         ])
         per_window = np.einsum("nu,nuv,v->n", windows, tables, sums)
         return complex(2.0 / period * (np.exp(1j * omega * starts) @ per_window))
 
-    offset = 0.5 * project(0.0, False).real
+    offset = 0.5 * project(0.0).real
     raw = [
-        (family, l, freq, project(freq, warn))
+        (family, l, freq, project(freq))
         for family, l, freq in probes
         if freq != 0.0
     ]
@@ -237,22 +220,24 @@ def _line_spectrum(sequence, l_range, K, warn):
 
 
 def fourier_numeric(sequence, l_range=(-4, 4), K=256, samples_per_step=64):
-    """Line spectrum of the transition probability over K periods.
+    """Line spectrum of the transition probability, the route for any window.
 
     Projects the exact signal over K periods on the sideband frequencies
     2*omega_eff + l*omega_T (positive-a branch) and the harmonics of
-    omega_T.  Valid for any step count; the projection is exact (see the
-    module docstring), so nothing is sampled, and a probe resonant with a
-    window tone raises no warning.
+    omega_T.  Valid for any step count and in every regime, a probe on a
+    window tone included; the projection is exact (see the module
+    docstring), so nothing is sampled.  K=None gives the discrete lines of
+    the infinite window.
 
     Parameters
     ----------
     sequence : PulseSequence
     l_range : (int, int)
         Inclusive range of the summation index l.
-    K : int
+    K : int or None
         Number of periods retained in the projection window, 1 to
-        1,000,000.
+        1,000,000; None gives the infinite window, where lines closer than
+        pi/(1024*T) merge into one.
     samples_per_step : int
         Ignored: the projection needs no samples.  Still accepted so that
         callers written for an earlier sampled version keep working.
@@ -264,7 +249,7 @@ def fourier_numeric(sequence, l_range=(-4, 4), K=256, samples_per_step=64):
         sorted by decreasing amplitude.  Frequencies above 2*pi/min(tau_n)
         are discarded.
     """
-    return _line_spectrum(sequence, l_range, K, warn=False)
+    return _line_spectrum(sequence, l_range, K)
 
 
 def piecewise_coefficients(sequence, K):
@@ -288,9 +273,8 @@ def piecewise_coefficients(sequence, K):
 def fourier_closed_form_two_step(sequence, l_range=(-4, 4), K=None):
     """Line spectrum of a two-step drive, by default in the infinite window.
 
-    The same exact projection as :func:`fourier_numeric`; with K=None it
-    returns the K -> infinity limit, the discrete lines themselves.  Unlike
-    :func:`fourier_numeric` it warns when a probe meets a window tone.
+    The two-step form of :func:`fourier_numeric`: the same projection,
+    with K=None, the discrete lines themselves, as its default.
 
     Parameters
     ----------
@@ -305,16 +289,11 @@ def fourier_closed_form_two_step(sequence, l_range=(-4, 4), K=None):
     Returns
     -------
     SpectralModel
-
-    Warns
-    -----
-    DegenerateFrequencyWarning
-        When a probe frequency is resonant with a window tone 2*E_n and
-        the limiting form of the integral is substituted.
     """
     if len(sequence.steps) != 2:
         raise ValueError("closed form requires exactly two steps")
-    return _line_spectrum(sequence, l_range, K, warn=True)
+    return _line_spectrum(sequence, l_range, K)
+
 
 def dominant_model(model, max_terms=3, floor=0.02):
     """Reduced model keeping at most max_terms components above the floor.

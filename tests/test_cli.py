@@ -62,7 +62,7 @@ def test_read_config_parses_comments_and_suffixes(tmp_path):
         "tau = 0.5, 0.25  # trailing comment\n",
     )
     seq = cli.read_config(path)
-    assert seq.n_steps == 2
+    assert len(seq.steps) == 2
     assert seq.steps[0].delta == 0.0
     assert seq.steps[1].delta == 40.0
     # validation folds the negative coupling into the phase
@@ -147,10 +147,11 @@ def test_propagate_starts_from_the_identity(tmp_path, capsys):
 def test_propagate_matches_the_library(tmp_path, capsys):
     path = write_config(tmp_path, PAIR_CONFIG)
     seq = cli.read_config(path)
-    # the long grid spans two full row blocks of the writer and part of a third
-    for num in (7, 2 * cli._ROW_BLOCK + 3):
-        times = np.linspace(0.0, 5.0, num)
-        assert cli.main(["propagate", path, "--tgrid", "0:5:%d" % num]) == 0
+    # the long grid spans two full row blocks of the writer and part of a
+    # third; a one-point grid is the single time min == max
+    for lo, hi, num in ((0, 5, 7), (0, 5, 2 * cli._ROW_BLOCK + 3), (2, 2, 1)):
+        times = np.linspace(lo, hi, num)
+        assert cli.main(["propagate", path, "--tgrid", "%d:%d:%d" % (lo, hi, num)]) == 0
         a, b, c, d = evolve_many(seq, times)
         expected = ["t,P12,A,B,C,D"] + [
             ",".join("%.17g" % x for x in row)
@@ -180,6 +181,25 @@ def test_propagate_rejects_bad_time_grids(tmp_path, capsys):
     assert "non-negative" in capsys.readouterr().err
     assert cli.main(["propagate", path, "--tgrid", "0:5:0"]) == 1
     assert "at least one point" in capsys.readouterr().err
+    assert cli.main(["propagate", path, "--tgrid", "0:1:x"]) == 1
+    assert "must look like min:max:num" in capsys.readouterr().err
+    assert cli.main(["propagate", path, "--tgrid", "0:1:1"]) == 1
+    assert "one point needs min == max" in capsys.readouterr().err
+
+
+def test_propagate_into_a_closed_pipe_exits_1_quietly(tmp_path):
+    # the reader takes one line and closes its end, as `head -n 1` does
+    path = write_config(tmp_path, PAIR_CONFIG)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stepdrive.cli", "propagate", path, "--tgrid", "0:100:300000"],
+        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"t,P12,A,B,C,D\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize("grid", ["0:inf:3", "nan:1:2"])
@@ -326,6 +346,21 @@ def test_spectrum_sections_are_deterministic(tmp_path, capsys):
         if line and not line.startswith("#") and not line.startswith("l,")
     ]
     assert len(rows) == 1
+
+
+def test_spectrum_with_a_probe_on_a_window_tone_is_quiet(tmp_path):
+    # two identical resonant quarter-cycle steps: the sideband probe 2*E
+    # meets the window tone of both steps, a regime the exact projection
+    # covers like any other
+    path = write_config(tmp_path, "delta = 0, 0\nepsilon = 1, 1\ntheta = 0, 0\n"
+                                  "tau = 1.5707963267948966, 1.5707963267948966\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "stepdrive.cli", "spectrum", path],
+        env=_child_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("# full\n")
 
 
 def test_spectrum_of_a_large_phase_step_matches_the_oracle_window(tmp_path, capsys):
@@ -587,6 +622,8 @@ def test_scan_counts_nan_cells_by_reason_on_stderr(tmp_path, capsys):
 
 def test_scan_rejects_bad_axes(tmp_path, capsys):
     path = write_config(tmp_path, PAIR_CONFIG)
+    assert cli.main(["scan", path, "--vary", "delta2"]) == 1
+    assert "must look like field=min:max:num" in capsys.readouterr().err
     assert cli.main(["scan", path, "--vary", "gamma2=0:1:3"]) == 1
     assert "field must be one of" in capsys.readouterr().err
     assert cli.main(["scan", path, "--vary", "delta=0:1:3"]) == 1
@@ -827,13 +864,15 @@ def test_cli_start_up_asks_for_one_blas_thread_and_no_process_pool(start_up_repo
 # Runs in a fresh interpreter, with SciPy blocked when asked: designs a
 # complete transition by each free field of the last step of a 1-, 2- and
 # 3-step drive, then runs every subcommand on the README pair, and prints
-# each result, error message, exit code and output.
+# each result, error message, exit code and output; last, the oracle's
+# eigh propagator of the first drive.
 _NO_SCIPY_PROBE = """
 import contextlib, io, json, sys
 if sys.argv[1] == "block":
     sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import stepdrive.cli as cli
 from stepdrive import PulseSequence, design_manipulation
+from stepdrive.oracle import brute_force_evolve
 
 drives, commands = json.loads(sys.argv[2])
 for arrays in drives:
@@ -849,6 +888,7 @@ for argv in commands:
         code = cli.main(argv)
     print(" ".join(argv[:1] + argv[2:]), "exit", code)
     print(out.getvalue())
+print("oracle", brute_force_evolve(PulseSequence.from_arrays(*drives[0]), 3.0).tolist())
 """
 
 # resonant first steps, so that the phase of the last step can zero b(T)

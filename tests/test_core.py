@@ -19,6 +19,7 @@ from stepdrive import (
     PulseSequence,
     SpectralComponent,
     SpectralModel,
+    jump_sequence,
     validate,
 )
 from stepdrive.core import _fold_angle
@@ -60,7 +61,7 @@ def test_sequence_boundaries_and_period():
     seq = PulseSequence.from_arrays(
         [0.0, 1.0, 2.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.5, 0.25, 1.0]
     )
-    assert seq.n_steps == 3
+    assert len(seq.steps) == 3
     assert np.allclose(seq.boundaries, [0.0, 0.5, 0.75, 1.75])
     assert seq.period == pytest.approx(1.75)
     assert seq.omega_t == pytest.approx(2.0 * math.pi / 1.75)
@@ -71,10 +72,11 @@ def test_sequence_rotation_is_cyclic():
     seq = PulseSequence.from_arrays(
         [1.0, 2.0, 3.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]
     )
-    rot = seq.rotated(1)
+    # entering at the start (or the end) of a step rotates the step list
+    rot = jump_sequence(seq, 0.0, 2)
     assert [s.delta for s in rot.steps] == [2.0, 3.0, 1.0]
-    assert seq.rotated(3).steps == seq.steps
-    assert seq.rotated(-1).steps == seq.rotated(2).steps
+    assert jump_sequence(seq, 1.0, 3).steps == seq.steps
+    assert jump_sequence(seq, 1.0, 1).steps == jump_sequence(seq, 0.0, 2).steps
 
 
 def test_from_arrays_rejects_unequal_lengths():
@@ -245,9 +247,10 @@ def test_beat_flag_requires_close_but_distinct_tones():
 
 def test_beat_prediction_spectral_form_matches_direct_evaluation():
     bp = BeatPrediction(0.9, 1.0, 0.1, 0.3, 1)
-    model = bp.to_spectral_model()
-    assert model.offset == 0.5
-    assert [c.frequency for c in model.components] == [1.8, 2.0]
-    assert all(c.amplitude == 0.25 for c in model.components)
+    # sin^2(x) = (1 - cos 2x)/2, so P = 1/2 - sum of cos(2 varpi (t - t_p))/4
+    model = SpectralModel(0.5, tuple(
+        SpectralComponent(2.0 * w, 0.25, _fold_angle(2.0 * w * bp.t_p + math.pi), "sideband", None)
+        for w in (bp.varpi_1, bp.varpi_1_prime)
+    ))
     t = np.linspace(0.0, 40.0, 400)
     assert np.allclose(model.evaluate(t), bp.evaluate(t), atol=1e-12)

@@ -139,11 +139,12 @@ def test_branch_cut_raises_ambiguity_error():
 
 def test_jump_endpoints_reduce_to_cyclic_rotations():
     seq = random_sequence(np.random.default_rng(33), max_steps=4, lo=0.1, hi=5.0)
-    assert jump_sequence(seq, 0.0).steps == seq.rotated(0).steps
-    n = len(seq.steps)
+    steps = seq.steps
+    assert jump_sequence(seq, 0.0).steps == steps
+    n = len(steps)
     for m in range(1, n + 1):
-        assert jump_sequence(seq, 0.0, m).steps == seq.rotated(m - 1).steps
-        assert jump_sequence(seq, 1.0, m).steps == seq.rotated(m).steps
+        assert jump_sequence(seq, 0.0, m).steps == steps[m - 1:] + steps[:m - 1]
+        assert jump_sequence(seq, 1.0, m).steps == steps[m:] + steps[:m]
 
 
 def test_jump_sequence_splits_one_step():

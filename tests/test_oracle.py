@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from stepdrive import NoEnvelopeError, PulseSequence
+from stepdrive import PulseSequence
 from stepdrive.oracle import (
+    NoEnvelopeError,
     brute_force_evolve,
     brute_force_probability,
     envelope_extract,

@@ -2,14 +2,12 @@
 
 import io
 import math
-import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 from stepdrive import (
-    DegenerateFrequencyWarning,
     PulseSequence,
     SpectralComponent,
     SpectralModel,
@@ -234,8 +232,7 @@ def test_degenerate_probe_substitutes_window_limit():
     seq = PulseSequence.from_arrays(
         [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.25 * math.pi, 0.25 * math.pi]
     )
-    with pytest.warns(DegenerateFrequencyWarning):
-        model = fourier_closed_form_two_step(seq, l_range=(-2, 2), K=256)
+    model = fourier_closed_form_two_step(seq, l_range=(-2, 2), K=256)
     line = model.components[0]
     assert line.frequency == pytest.approx(2.0, abs=1e-12)
     assert line.amplitude == pytest.approx(0.5, abs=1e-10)
@@ -273,8 +270,7 @@ def test_unresolved_lines_are_merged_not_double_counted():
     for seq, K in ((slow_pair, None), (slow_pair, 1024), (slow_step, 256)):
         if len(seq.steps) == 2:
             # a sideband probe meets the window tone 2*E of a resonant step
-            with pytest.warns(DegenerateFrequencyWarning):
-                model = fourier_closed_form_two_step(seq, K=K)
+            model = fourier_closed_form_two_step(seq, K=K)
         else:
             model = fourier_numeric(seq, K=K)
         resolution = math.pi / ((K or 1024) * seq.period)
