@@ -134,8 +134,8 @@ def _parse_grid(text, what):
         lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError("%s must look like min:max:num, got %r" % (what, text))
-    if not math.isfinite(lo + hi):
-        raise ValueError("%s bounds must be finite, got %r" % (what, text))
+    if not math.isfinite(hi - lo):
+        raise ValueError("%s bounds and their span must be finite, got %r" % (what, text))
     if num < 1:
         raise ValueError("%s needs at least one point" % (what,))
     if num == 1 and lo != hi:

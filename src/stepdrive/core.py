@@ -170,7 +170,7 @@ def validate(sequence):
         If the step list is empty.
     ValueError
         If any duration is non-positive or any field is not finite; if a
-        step's phase E*tau is not finite; or if the period T or the
+        step's doubled phase 2*E*tau is not finite; or if the period T or the
         frequency 2*pi/T is not finite.
     """
     if len(sequence.steps) == 0:
@@ -182,8 +182,8 @@ def validate(sequence):
                 raise ValueError("step %d: %s is not finite" % (i + 1, name))
         if step.tau <= 0.0:
             raise ValueError("step %d: duration must be positive" % (i + 1))
-        if not math.isfinite(step.energy * step.tau):
-            raise ValueError("step %d: E*tau is not finite" % (i + 1))
+        if not math.isfinite((2.0 * step.energy) * step.tau):
+            raise ValueError("step %d: 2*E*tau is not finite" % (i + 1))
         eps, theta = step.epsilon, step.theta
         if eps < 0.0:
             eps, theta = -eps, theta + math.pi

@@ -21,7 +21,9 @@ comb line closer to a probe than pi/(1024*T) counts as that probe's line.
 
 Lines are labelled by their probe: "sideband" components sit at
 |2*omega_eff + l*omega_T| with omega_eff on the positive-a branch, and
-"harmonic" components at integer multiples of omega_T.
+"harmonic" components at integer multiples of omega_T.  Which probes
+become lines depends on their frequency alone, so they are chosen before
+any is projected, and only the kept ones cost a projection.
 """
 
 import cmath
@@ -66,49 +68,6 @@ def _window_integral(omega, tone, tau):
     gp = _phase_integral(omega + tone, tau)
     gm = _phase_integral(omega - tone, tau)
     return _phase_integral(omega, tau), 0.5 * (gp + gm), (gp - gm) / 2j
-
-
-def _probe_list(l_range, omega_eff, omega_t):
-    lmin, lmax = l_range
-    if lmin > lmax:
-        raise ValueError("empty index range %r" % (l_range,))
-    probes = []
-    for l in range(lmin, lmax + 1):
-        probes.append(("sideband", l, 2.0 * omega_eff + l * omega_t))
-    for l in range(lmin, lmax + 1):
-        probes.append(("harmonic", l + 1, (l + 1) * omega_t))
-    return probes
-
-
-def _assemble_components(raw, cap, dedup_tol):
-    """Fold, deduplicate, and sort raw (family, l, frequency, z) probes.
-
-    Negative frequencies fold to positive ones with conjugated phasors.
-    Probes closer together than dedup_tol are unresolvable by the
-    projection window, so each already carries the full merged line;
-    keeping more than one would double-count it.  The first probe of such
-    a cluster is kept, the rest are dropped (never summed).  Lines above
-    the cap are discarded, and so are lines closer to zero frequency than
-    dedup_tol: the window cannot tell them from the constant, so the
-    offset already carries them.
-    """
-    comps = []
-    kept = []
-    for family, l, freq, z in raw:
-        if freq < 0.0:
-            freq, z = -freq, z.conjugate()
-        if freq < dedup_tol or freq > cap * (1.0 + 1e-12):
-            continue
-        if any(abs(freq - other) < dedup_tol for other in kept):
-            continue
-        kept.append(freq)
-        comps.append(
-            SpectralComponent(
-                freq, abs(z), math.atan2(z.imag, z.real), family, l
-            )
-        )
-    comps.sort(key=lambda comp: -comp.amplitude)
-    return tuple(comps)
 
 
 def _line_table(sequence):
@@ -183,7 +142,21 @@ def _comb(x, K):
 
 
 def _line_spectrum(sequence, l_range, K):
-    """Exact line spectrum over K periods, or the infinite window for None."""
+    """Exact line spectrum over K periods, or the infinite window for None.
+
+    The probes are the sidebands 2*omega_eff + l*omega_T (positive-a
+    branch), then the harmonics (l + 1)*omega_T, for l over the inclusive
+    range.  Which probes become lines depends on frequency alone, so each
+    is folded to |omega| and chosen before it is projected, with tol =
+    pi/(K*T), or pi/(1024*T) for K=None.  A probe is dropped below tol (the
+    window cannot tell it from the constant, which the offset carries),
+    above the cap 2*pi/min(tau_n), or within tol of a kept line: the window
+    cannot resolve the two, so each carries the full merged line, and the
+    first in probe order is kept, never summed with the rest.  Kept lines
+    are bucketed by freq // tol, so one within tol of a probe lies in its
+    bucket or a neighbour, and the cost grows with the probe count rather
+    than its square.
+    """
     if K is not None and K < 1:
         raise ValueError("need at least one period, got K=%r" % (K,))
     if K is not None and K > _MAX_PERIODS:
@@ -192,7 +165,9 @@ def _line_spectrum(sequence, l_range, K):
 
     period = sequence.period
     heff = effective_hamiltonian(sequence, branch="positive_a")
-    probes = _probe_list(l_range, heff.omega_eff, sequence.omega_t)
+    lmin, lmax = l_range
+    if lmin > lmax:
+        raise ValueError("empty index range %r" % (l_range,))
     tables, theta, _ = _line_table(sequence)
     starts = sequence.boundaries[:-1]
 
@@ -209,14 +184,28 @@ def _line_spectrum(sequence, l_range, K):
         return complex(2.0 / period * (np.exp(1j * omega * starts) @ per_window))
 
     offset = 0.5 * project(0.0).real
-    raw = [
-        (family, l, freq, project(freq))
-        for family, l, freq in probes
-        if freq != 0.0
-    ]
-    cap = 2.0 * math.pi / sequence.min_tau
-    dedup = (_RESOLUTION if K is None else math.pi / K) / period
-    return SpectralModel(offset, _assemble_components(raw, cap, dedup))
+    cap = 2.0 * math.pi / sequence.min_tau * (1.0 + 1e-12)
+    tol = (_RESOLUTION if K is None else math.pi / K) / period
+    omega_t = sequence.omega_t
+    kept = {}
+    comps = []
+    for family, shift, base in (("sideband", 0, 2.0 * heff.omega_eff), ("harmonic", 1, 0.0)):
+        for l in range(lmin + shift, lmax + shift + 1):
+            omega = base + l * omega_t
+            freq = abs(omega)
+            if freq < tol or freq > cap:
+                continue
+            key = freq // tol
+            nearby = (kept.get(near, ()) for near in (key - 1.0, key, key + 1.0))
+            if any(abs(freq - other) < tol for bucket in nearby for other in bucket):
+                continue
+            kept.setdefault(key, []).append(freq)
+            # a negative probe folds onto |omega| with the conjugate phasor
+            z = project(omega)
+            z = z.conjugate() if omega < 0.0 else z
+            comps.append(SpectralComponent(freq, abs(z), math.atan2(z.imag, z.real), family, l))
+    comps.sort(key=lambda comp: -comp.amplitude)
+    return SpectralModel(offset, tuple(comps))
 
 
 def fourier_numeric(sequence, l_range=(-4, 4), K=256, samples_per_step=64):

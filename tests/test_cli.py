@@ -107,10 +107,13 @@ def test_read_config_accepts_a_byte_order_mark(tmp_path):
 
 
 @pytest.mark.parametrize("epsilon, tau", [
-    ("1, 1", "1e308, 1e308"),  # T = inf
+    ("0.25, 0.25", "1e308, 1e308"),  # T = inf
+    ("1, 1", "1e308, 1e308"),  # T = inf and 2*E*tau = inf in step 1
     ("1, 1", "1e-320, 1e-320"),  # 2*pi/T = inf
     ("1e300, 1", "1e10, 1"),  # E*tau = inf in step 1
-], ids=["infinite_period", "subnormal_period", "infinite_phase"])
+    ("1e308, 1", "1e-300, 1"),  # E*tau = 1e8, but the window tone 2*E = inf
+], ids=["infinite_period_finite_phases", "infinite_period", "subnormal_period",
+        "infinite_phase", "infinite_window_tone"])
 def test_a_non_finite_period_or_phase_exits_1_in_every_command(
     tmp_path, capsys, epsilon, tau
 ):
@@ -128,7 +131,7 @@ def test_a_non_finite_period_or_phase_exits_1_in_every_command(
         assert cli.main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert "must be finite" in err or "E*tau is not finite" in err
+        assert "must be finite" in err or "2*E*tau is not finite" in err
 
 
 def test_config_error_is_a_value_error():
@@ -630,6 +633,16 @@ def test_scan_rejects_bad_axes(tmp_path, capsys):
     assert "field must be one of" in capsys.readouterr().err
     assert cli.main(["scan", path, "--vary", "delta9=0:1:3"]) == 1
     assert "out of range" in capsys.readouterr().err
+    # both bounds are finite, but the span of the axis overflows
+    assert cli.main(["scan", path, "--vary", "delta2=-1e308:1e308:3"]) == 1
+    captured = capsys.readouterr()
+    assert "--vary bounds and their span must be finite" in captured.err
+    assert captured.out == ""
+    # huge but equal bounds are an axis of one point; its cell fails validation
+    assert cli.main(["scan", path, "--vary", "epsilon1=1e308:1e308:1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "epsilon1,eps_m\n1e+308,nan\n"
+    assert "E*tau is not finite" in captured.err
     assert cli.main(
         ["scan", path] + ["--vary", "delta2=0:1:2"] * 3
     ) == 1

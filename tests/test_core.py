@@ -106,13 +106,18 @@ def test_validate_rejects_non_finite_fields():
 
 @pytest.mark.parametrize("epsilon, tau, message", [
     # T overflows to inf, and with it every period count and line frequency
-    ((1.0, 1.0), (1e308, 1e308), r"period T = inf: T and 2\*pi/T must be finite"),
+    ((0.25, 0.25), (1e308, 1e308), r"period T = inf: T and 2\*pi/T must be finite"),
+    # so does T here, but the phase 2*E*tau of step 1 overflows first
+    ((1.0, 1.0), (1e308, 1e308), r"step 1: 2\*E\*tau is not finite"),
     # T is a subnormal and 2*pi/T overflows
     ((1.0, 1.0), (1e-320, 1e-320), r"period T = 2e-320: T and 2\*pi/T must be finite"),
     # each field and T are finite, but the phase E*tau of step 1 is not
-    ((1e300, 1.0), (1e10, 1.0), r"step 1: E\*tau is not finite"),
-    ((1.0, 1.5e308), (1.0, 2.0), r"step 2: E\*tau is not finite"),
-], ids=["infinite_period", "subnormal_period", "step_1_phase", "step_2_phase"])
+    ((1e300, 1.0), (1e10, 1.0), r"step 1: 2\*E\*tau is not finite"),
+    ((1.0, 1.5e308), (1.0, 2.0), r"step 2: 2\*E\*tau is not finite"),
+    # E*tau = 1e8 is finite, but the window tone 2*E of step 1 is not
+    ((1e308, 1.0), (1e-300, 1.0), r"step 1: 2\*E\*tau is not finite"),
+], ids=["infinite_period_finite_phases", "infinite_period", "subnormal_period",
+        "step_1_phase", "step_2_phase", "step_1_window_tone"])
 def test_from_arrays_rejects_a_non_finite_period_or_phase(epsilon, tau, message):
     with pytest.raises(ValueError, match=message):
         PulseSequence.from_arrays([0.0, 0.0], epsilon, [0.0, 0.0], tau)

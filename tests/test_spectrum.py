@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from stepdrive import (
     PulseSequence,
@@ -23,7 +25,8 @@ from stepdrive import (
     write_csv,
 )
 from stepdrive.oracle import numeric_fourier
-from stepdrive.spectrum import _aligned_signal
+from stepdrive import spectrum
+from stepdrive.spectrum import _aligned_signal, _comb, _line_table, _window_integral
 
 from helpers import (
     large_phase_drive,
@@ -276,6 +279,113 @@ def test_unresolved_lines_are_merged_not_double_counted():
         resolution = math.pi / ((K or 1024) * seq.period)
         assert min(c.frequency for c in model.components) >= resolution
         assert 0.5 * sum(c.amplitude**2 for c in model.components) <= 0.25 + 1e-9
+
+
+def _project_then_assemble(sequence, l_range, K):
+    """The line spectrum built the long way, as a reference: every probe is
+    projected first, then folded, deduplicated against every kept line in
+    turn and sorted.  Returns the offset and (frequency, amplitude, phase,
+    family, index) rows."""
+    period = sequence.period
+    heff = effective_hamiltonian(sequence, branch="positive_a")
+    tables, theta, _ = _line_table(sequence)
+    starts = sequence.boundaries[:-1]
+
+    def project(omega):
+        phi = omega * period
+        plus, minus = _comb(phi + 2.0 * theta, K), _comb(phi - 2.0 * theta, K)
+        sums = np.array([_comb(phi, K), 0.5 * (plus + minus), -0.5j * (plus - minus)])
+        windows = np.array([
+            _window_integral(omega, 2.0 * step.energy, step.tau) for step in sequence.steps
+        ])
+        per_window = np.einsum("nu,nuv,v->n", windows, tables, sums)
+        return complex(2.0 / period * (np.exp(1j * omega * starts) @ per_window))
+
+    lmin, lmax = l_range
+    omega_t = sequence.omega_t
+    probes = [("sideband", l, 2.0 * heff.omega_eff + l * omega_t) for l in range(lmin, lmax + 1)]
+    probes += [("harmonic", l + 1, (l + 1) * omega_t) for l in range(lmin, lmax + 1)]
+    raw = [(family, l, freq, project(freq)) for family, l, freq in probes if freq != 0.0]
+    cap = 2.0 * math.pi / sequence.min_tau
+    dedup = (math.pi / 1024.0 if K is None else math.pi / K) / period
+    rows, kept = [], []
+    for family, l, freq, z in raw:
+        if freq < 0.0:
+            freq, z = -freq, z.conjugate()
+        if freq < dedup or freq > cap * (1.0 + 1e-12):
+            continue
+        if any(abs(freq - other) < dedup for other in kept):
+            continue
+        kept.append(freq)
+        rows.append((freq, abs(z), math.atan2(z.imag, z.real), family, l))
+    rows.sort(key=lambda row: -row[1])
+    return 0.5 * project(0.0).real, rows
+
+
+def _spectrum_drive(rng, kind):
+    if kind == "quarter_cycle":
+        n = int(rng.integers(1, 9))
+        eps = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
+        deltas = rng.choice([0.0, 40.0, -3.0], n)
+        return quarter_cycle_sequence(list(eps), list(deltas), list(rng.uniform(-3.0, 3.0, n)))
+    seq = random_sequence(rng)
+    if kind == "null_step":
+        steps = list(seq.steps)
+        i = int(rng.integers(len(steps)))
+        steps[i] = steps[i]._replace(delta=0.0, epsilon=0.0)
+        seq = PulseSequence.from_arrays(*zip(*steps))
+    return seq
+
+
+@seed(29)
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "null_step", "quarter_cycle"]),
+    st.sampled_from(["folded", "above_cap"]),
+    st.sampled_from([None, 1, 256, 4096]),
+)
+def test_line_spectrum_matches_project_then_assemble_bit_for_bit(draw_seed, kind, where, K):
+    # lines are chosen by frequency before they are projected; the result
+    # is the reference's, every bit of every field, zero signs included
+    rng = np.random.default_rng(draw_seed)
+    seq = _spectrum_drive(rng, kind)
+    width = int(rng.integers(0, 13))
+    if where == "folded":
+        # negative indices fold sidebands and harmonics onto positive ones
+        l_range = (-width - int(rng.integers(0, 4)), width)
+    else:
+        # every probe above the cap 2*pi/min(tau_n)
+        lmin = math.ceil(seq.period / seq.min_tau) + 2
+        l_range = (lmin, lmin + width)
+    offset, rows = _project_then_assemble(seq, l_range, K)
+    model = spectrum._line_spectrum(seq, l_range, K)
+    assert model.offset.hex() == offset.hex()
+    got = [
+        (c.frequency.hex(), c.amplitude.hex(), c.phase.hex(), c.family, c.index)
+        for c in model.components
+    ]
+    assert got == [(f.hex(), a.hex(), p.hex(), family, l) for f, a, p, family, l in rows]
+    if where == "above_cap":
+        assert model.components == ()
+
+
+def test_only_probes_that_become_lines_are_projected(monkeypatch):
+    # the README drive with tau = (1, 1e-4): of the 32,002 probes of a
+    # +-8000 spectrum, the 7,999 harmonics that fold onto others and the
+    # zero harmonic are dropped before projection; one window integral per
+    # step for each of the 24,002 lines and for the offset
+    calls = []
+
+    def counted(omega, tone, tau):
+        calls.append(omega)
+        return _window_integral(omega, tone, tau)
+
+    monkeypatch.setattr(spectrum, "_window_integral", counted)
+    seq = PulseSequence.from_arrays([0.0, 40.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1e-4])
+    model = fourier_closed_form_two_step(seq, l_range=(-8000, 8000))
+    assert len(model.components) == 24_002
+    assert len(calls) == 2 * 24_003
 
 
 def test_full_model_stays_within_probability_bounds():
