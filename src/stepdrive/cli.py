@@ -52,9 +52,10 @@ _MAX_POINTS = 1_000_000
 # rows formatted per write, so a long grid never holds all its row strings
 _ROW_BLOCK = 8192
 
-# a number standing alone in an error message, such as 1e-06 or -0.25;
-# compiled by `re` on first use, so start-up does not pay for it
-_NUMBER = r"(?<![\w./])[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?"
+# a number standing alone in an error message, such as 1e-06 or -0.25, and
+# not a constant joined to a formula, as the 2 of 2*E*tau; compiled by `re`
+# on first use, so start-up does not pay for it
+_NUMBER = r"(?<![\w./*])[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?(?![\w*/]|\.\d)"
 
 # numpy is imported where a command builds its arrays, after its input is
 # checked (see the package __init__)

@@ -170,12 +170,14 @@ def validate(sequence):
         If the step list is empty.
     ValueError
         If any duration is non-positive or any field is not finite; if a
-        step's doubled phase 2*E*tau is not finite; or if the period T or the
+        step's doubled phase 2*E*tau is not finite; if a duration is lost in
+        the rounding of the running sum T; or if the period T or the
         frequency 2*pi/T is not finite.
     """
     if len(sequence.steps) == 0:
         raise EmptySequenceError("pulse sequence has no steps")
     steps = []
+    total = 0.0  # the running sum of :attr:`PulseSequence.period`
     for i, step in enumerate(sequence.steps):
         for name, value in zip(step._fields, step):
             if not math.isfinite(value):
@@ -184,6 +186,10 @@ def validate(sequence):
             raise ValueError("step %d: duration must be positive" % (i + 1))
         if not math.isfinite((2.0 * step.energy) * step.tau):
             raise ValueError("step %d: 2*E*tau is not finite" % (i + 1))
+        if total + step.tau == total and total < math.inf:  # inf fails below
+            raise ValueError("step %d: duration %r is lost in the rounding of T"
+                             % (i + 1, step.tau))
+        total += step.tau
         eps, theta = step.epsilon, step.theta
         if eps < 0.0:
             eps, theta = -eps, theta + math.pi

@@ -9,7 +9,8 @@ the per-period rotation angle Theta of U(T), so the cost of the propagator
 at t' + script_N * T does not grow with the period count script_N.  On a
 time array, each time costs one cos/sin pair for its rotation inside the
 current step plus N comparisons to find that step, and the power factors
-are computed once per run of times with equal script_N.
+are computed once per run of times with equal script_N.  Every product of
+an array call is written in place into one workspace, in rotate's order.
 
 The power identity needs cos(script_N*Theta) and the ratio
 sin(script_N*Theta)/sin(Theta).  Theta is read with atan2 from the whole
@@ -27,8 +28,8 @@ from .core import PropagatorCoeffs
 
 # numpy is imported by the functions that build arrays (see the package __init__)
 
-# times per block of evolve_many: its float64 temporaries (64 KB) stay below
-# the default malloc mmap threshold (128 KB), so they are reused across calls
+# times per block of evolve_many: the call's one workspace holds nine
+# float64 rows of this length (576 KB), reused by every block
 _BLOCK = 8192
 
 
@@ -63,7 +64,7 @@ def rotate(left, cn, sn, axis, side=1):
     only in the three cross terms of each coefficient, w = side * axis;
     negation is exact, so each side rounds as its own expanded product
     would, signed zeros included.  Operands may be floats or broadcastable
-    arrays; scalar and array callers get the same bits from the same inputs.
+    arrays; :func:`_cross_sums` writes the same sums, in place, for arrays.
     """
     a, b, c, d = left
     ax, ay, az = axis
@@ -130,8 +131,10 @@ def intra_period(sequence, tprime):
         return per
     import numpy as np
 
-    inner = _intra_block(sequence, starts, np.array([float(tprime)]))
-    return PropagatorCoeffs(*(float(x[0]) for x in inner))
+    inner = np.empty((4, 1))
+    _intra_block(_step_tables(sequence, starts), np.array([float(tprime)]), inner,
+                 np.empty((3, 1)), np.empty(1, dtype=np.intp))
+    return PropagatorCoeffs(*inner[:, 0].tolist())
 
 
 def period_propagator(sequence):
@@ -162,17 +165,20 @@ def _power_factors(per, ns):
     return parity * cos_n, -parity * ratio
 
 
-def _split_time(t, period):
-    # decompose t = n*T + t' with 0 <= t' < T, for a float or an array t;
-    # n comes back as a float.  A t' within one ulp of T is promoted to the
-    # next period boundary.
+def _split_time(t, period, n=None, tprime=None):
+    # decompose t = n*T + t' with 0 <= t' < T, for a float or an array t,
+    # into the arrays n and tprime if given; n comes back as a float.  A t'
+    # within one ulp of T (T - t' is exact above T/2) goes to the next period.
     import numpy as np
 
-    n = np.floor(t / period)
-    n -= t - n * period < 0.0  # floor rounding at exact multiples
-    tprime = t - n * period
-    wrap = period - tprime <= math.ulp(period)
-    return n + wrap, np.where(wrap, 0.0, tprime)
+    n = np.floor(np.divide(t, period, out=n), out=n)
+    # floor rounding at exact multiples
+    n -= np.subtract(t, np.multiply(n, period, out=tprime), out=tprime) < 0.0
+    tprime = np.subtract(t, np.multiply(n, period, out=tprime), out=tprime)
+    wrap = tprime >= period - math.ulp(period)
+    n += wrap
+    tprime *= ~wrap
+    return n, tprime
 
 
 def _window_starts(sequence):
@@ -214,14 +220,13 @@ def evolve_many(sequence, times):
     Returns four arrays (a, b, c, d) with the shape of ``times``.  Each
     time t = n*T + t' gets U(t') combined with U(T)**n through the power
     identity, so the cost does not grow with the period count.  It is
-    O(N * len(times)): finding the step of each t' and selecting the times
-    of each step pass over the times once per step, and each time takes
+    O(N * len(times)): finding the step of each t' passes over the times
+    once per step, each time reads its step from per-step tables and takes
     one cos/sin pair for its rotation inside its step.  cos(n*Theta) and
     sin(n*Theta)/sin(Theta) are computed once per run of neighbouring times
     with equal n, so a sorted grid pays for them about once per period.
-    Long arrays are processed in blocks of _BLOCK times, so the temporaries
-    stay small and the allocator reuses them instead of mapping fresh pages
-    on every call.  :func:`evolve` is the scalar form.
+    Blocks of _BLOCK times share one workspace per call, and each time gets
+    the bits of :func:`rotate`.  :func:`evolve` is the scalar form.
 
     Parameters
     ----------
@@ -255,61 +260,85 @@ def evolve_many(sequence, times):
                 "times pi/2 is not finite" % (t_max, sequence.period)
             )
     ts = times.ravel()
-    # prefix propagators at the segment starts are scalars, shared by all blocks
     starts, per = _window_starts(sequence)
+    tables = _step_tables(sequence, starts)
     out = np.empty((4, ts.size))
+    # period counts, t', a scratch row, cos/sin in the step, the power sums
+    work = np.empty((9, min(ts.size, _BLOCK)))
+    idx = np.empty(work.shape[1], dtype=np.intp)
     for lo in range(0, ts.size, _BLOCK):
-        n_per, tp = _split_time(ts[lo:lo + _BLOCK], sequence.period)
+        rows = out[:, lo:lo + _BLOCK]
+        n, tp, scratch, cn, sn, *sums = work[:, :rows.shape[1]]
+        _split_time(ts[lo:lo + _BLOCK], sequence.period, n, tp)
+        _intra_block(tables, tp, rows, (scratch, cn, sn), idx[:rows.shape[1]])
         # one factor pair per run of equal period counts, in any time order;
         # `cuts` holds the first index of each run and the block end
-        cuts = np.flatnonzero(np.concatenate(([True], n_per[1:] != n_per[:-1], [True])))
+        cuts = np.flatnonzero(np.concatenate(([True], n[1:] != n[:-1], [True])))
         lengths = np.diff(cuts)
-        cos_n, ratio = _power_factors(per, n_per[cuts[:-1]])
-        # U(t') U(T)**n, the power identity
-        block = rotate(
-            _intra_block(sequence, starts, tp),
-            np.repeat(cos_n, lengths), np.repeat(ratio, lengths),
-            (per.d, per.c, per.b), -1,
-        )
-        for row, coeff in zip(out, block):
-            row[lo:lo + _BLOCK] = coeff
+        cos_n, ratio = (np.repeat(f, lengths) for f in _power_factors(per, n[cuts[:-1]]))
+        # U(t') U(T)**n, the power identity, on U(t') in the rows of out
+        _cross_sums(sums, rows, (per.d, per.c, per.b), -1, scratch)
+        for row, total, combine in zip(rows, sums, (np.subtract, np.add, np.add, np.add)):
+            np.multiply(total, ratio, out=total)
+            combine(np.multiply(row, cos_n, out=row), total, out=row)
     return tuple(row.reshape(times.shape) for row in out)
 
 
-def _step_index(bounds, tp):
-    """Index of the step containing each 0 <= t' of the array ``tp``: the
-    number of interior boundaries ``bounds[1:-1]`` at or below t'.  A t' on
-    a boundary opens the next step; one beyond T stays in the last.  The
-    counts are kept in the smallest unsigned type that holds N - 1, since
-    adding a bool array into an intp one costs more than the comparison."""
+def _cross_sums(sums, left, axis, side, scratch):
+    """The four parenthesized sums of :func:`rotate`, in its order, written
+    into the rows of ``sums`` for arrays or floats ``left`` and ``axis``;
+    x - y*k is taken as x + y*(-k) and -b*wx as b*(-wx), which round alike."""
     import numpy as np
 
-    idx = np.zeros(tp.shape, dtype=np.min_scalar_type(len(bounds) - 2))
-    for edge in bounds[1:-1]:
-        idx += tp >= edge
-    return idx
+    a, b, c, d = left
+    ax, ay, az = axis
+    wx, wy, wz = side * ax, side * ay, side * az
+    for total, ((x1, k1), (x2, k2), (x3, k3)) in zip(sums, (
+            ((d, ax), (c, ay), (b, az)), ((c, wx), (d, -wy), (a, az)),
+            ((b, -wx), (a, ay), (d, wz)), ((a, ax), (b, wy), (c, -wz)))):
+        np.multiply(x1, k1, out=total)
+        np.add(total, np.multiply(x2, k2, out=scratch), out=total)
+        np.add(total, np.multiply(x3, k3, out=scratch), out=total)
 
 
-def _intra_block(sequence, starts, tp):
-    """(a, b, c, d) of U(t') on a flat array of times 0 <= t' < T, from the
-    segment-start propagators ``starts``; the partial rotation inside the
-    containing segment is vectorized."""
+def _step_tables(sequence, starts):
+    """One column per step: energy, start t_n, (a, b, c, d) of U(t_n) and
+    the four sums of :func:`rotate`'s left product with the step axis."""
     import numpy as np
 
-    bounds = sequence.boundaries
-    a = np.empty_like(tp)
-    b = np.empty_like(tp)
-    c = np.empty_like(tp)
-    d = np.empty_like(tp)
-    idx = _step_index(bounds, tp)
-    for k, (step, prefix) in enumerate(zip(sequence.steps, starts)):
-        sel = idx == k
-        if sel.any():
-            phase = step.energy * (tp[sel] - bounds[k])
-            a[sel], b[sel], c[sel], d[sel] = rotate(
-                prefix, np.cos(phase), np.sin(phase), step.axis
-            )
-    return a, b, c, d
+    tables = np.empty((10, len(starts)))
+    tables[0] = [step.energy for step in sequence.steps]
+    tables[1] = sequence.boundaries[:-1]
+    tables[2:6] = np.transpose(starts)
+    axes = np.transpose([step.axis for step in sequence.steps])
+    _cross_sums(tables[6:], tables[2:6], axes, 1, np.empty(len(starts)))
+    return tables
+
+
+def _intra_block(tables, tp, inner, work, idx):
+    """(a, b, c, d) of U(t') on a flat array of times 0 <= t' < T, written
+    into the rows of ``inner``; each time reads its step's column of the
+    :func:`_step_tables` through ``idx``.  ``work`` holds three arrays."""
+    import numpy as np
+
+    energy, start, *columns = tables
+    scratch, cn, sn = work
+    # the step starts at or below t', counted in the smallest unsigned type
+    count = np.zeros(tp.shape, dtype=np.min_scalar_type(len(start) - 1))
+    for edge in start[1:]:
+        count += tp >= edge
+    np.copyto(idx, count)
+    # E (t' - t_n), the phase in the step; mode "clip" takes into out= unbuffered
+    np.subtract(tp, np.take(start, idx, out=scratch, mode="clip"), out=scratch)
+    np.multiply(np.take(energy, idx, out=cn, mode="clip"), scratch, out=scratch)
+    np.cos(scratch, out=cn)
+    np.sin(scratch, out=sn)
+    for row, coeff, total, combine in zip(
+        inner, columns[:4], columns[4:], (np.subtract, np.add, np.add, np.add)
+    ):
+        np.multiply(np.take(total, idx, out=row, mode="clip"), sn, out=row)
+        np.multiply(np.take(coeff, idx, out=scratch, mode="clip"), cn, out=scratch)
+        combine(scratch, row, out=row)
 
 
 def transition_probabilities(sequence, times):

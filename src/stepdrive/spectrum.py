@@ -98,10 +98,13 @@ def _line_table(sequence):
     # the product on the right with cosine 0 and sine r about (d, c, b) of
     # U(T), so a null rotation takes r = 0 and no G part
     ratio = 1.0 / sin_theta if sin_theta > 0.0 else 0.0
+    axis = (per.d, per.c, per.b)
+    if ratio == math.inf:  # a subnormal sin(Theta): normalise the axis instead
+        ratio, axis = 1.0, tuple(x / sin_theta for x in axis)
     rows = []
     for prefix, step in zip(starts, sequence.steps):
         for left in (prefix, rotate(prefix, 0.0, 1.0, step.axis)):
-            turned = rotate(left, 0.0, ratio, (per.d, per.c, per.b), -1)
+            turned = rotate(left, 0.0, ratio, axis, -1)
             rows += [(left[2], left[3]), turned[2:]]
     m = np.array(rows).reshape(len(starts), 2, 2, 2).transpose(0, 3, 1, 2)
     # x x^T = sum_u h_u(2*angle) * pair[u] for x = (cos angle, sin angle)

@@ -134,6 +134,25 @@ def test_a_non_finite_period_or_phase_exits_1_in_every_command(
         assert "must be finite" in err or "2*E*tau is not finite" in err
 
 
+def test_a_step_lost_in_the_rounding_of_T_exits_1_in_every_command(tmp_path, capsys):
+    # 9.25e99 + 3.67 == 9.25e99: step 2 would open and close at one float
+    path = write_config(
+        tmp_path, "delta = 0, 0\nepsilon = 1.7e-100, 0.428\ntheta = 0, 0\ntau = 9.25e99, 3.67\n"
+    )
+    for argv in (
+        ["heff", path],
+        ["propagate", path, "--tgrid", "0:3:4"],
+        ["spectrum", path],
+        ["classify", path],
+        ["scan", path, "--vary", "delta1=0:1:2"],
+        ["beat", path],
+    ):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "step 2: duration 3.67 is lost in the rounding of T" in err
+
+
 def test_config_error_is_a_value_error():
     assert issubclass(cli.ConfigError, ValueError)
 
@@ -621,6 +640,20 @@ def test_scan_counts_nan_cells_by_reason_on_stderr(tmp_path, capsys):
     # a grid with no nan cell prints nothing on stderr
     assert cli.main(["scan", path, "--vary", "delta2=30:50:5", "--metric", "omega_eff"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_scan_nan_summary_keeps_the_constants_of_a_message(tmp_path, capsys):
+    # the numbers of a cell become N; the 2 of 2*E*tau and 2*pi/T stay
+    path = write_config(tmp_path, PAIR_CONFIG)
+    assert cli.main(["scan", path, "--vary", "epsilon1=1e308:1e308:1"]) == 0
+    assert capsys.readouterr().err == (
+        "stepdrive: scan: 1 of 1 cells are nan: step N: 2*E*tau is not finite\n"
+    )
+    assert cli.main(["scan", path, "--vary", "tau1=1e-320:1e-320:1",
+                     "--vary", "tau2=1e-320:1e-320:1"]) == 0
+    assert capsys.readouterr().err == (
+        "stepdrive: scan: 1 of 1 cells are nan: period T = N: T and 2*pi/T must be finite\n"
+    )
 
 
 def test_scan_rejects_bad_axes(tmp_path, capsys):

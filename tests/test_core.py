@@ -104,6 +104,18 @@ def test_validate_rejects_non_finite_fields():
         validate(seq)
 
 
+def test_validate_rejects_a_step_lost_in_the_rounding_of_the_running_sum():
+    # T = 9.25e99 + 3.67 rounds to 9.25e99, so step 2 has no time of its own
+    with pytest.raises(ValueError, match=r"step 2: duration 3.67 is lost in the rounding"):
+        PulseSequence.from_arrays([0.0, 0.0], [1.7e-100, 0.428], [0.0, 0.0], [9.25e99, 3.67])
+    # a running sum that overflows is reported as the period, not as a lost step
+    with pytest.raises(ValueError, match=r"period T = inf"):
+        PulseSequence.from_arrays([0.0] * 3, [0.25] * 3, [0.0] * 3, [1e308, 1e308, 1.0])
+    # a step below the rounding of T, but not of its own start, is kept
+    seq = PulseSequence.from_arrays([0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1e-17, 1.0])
+    assert np.all(np.diff(seq.boundaries) > 0.0)
+
+
 @pytest.mark.parametrize("epsilon, tau, message", [
     # T overflows to inf, and with it every period count and line frequency
     ((0.25, 0.25), (1e308, 1e308), r"period T = inf: T and 2\*pi/T must be finite"),

@@ -294,6 +294,22 @@ def test_split_time_promotes_ulp_remainders():
     assert tprime == pytest.approx(0.25 * period)
 
 
+def test_split_time_in_place_matches_the_ulp_test():
+    # t' >= T - ulp(T) is the test T - t' <= ulp(T), written in place:
+    # multiples of T and their neighbouring floats, for T in many binades
+    rng = np.random.default_rng(31)
+    for period in list(np.exp(rng.uniform(-30.0, 30.0, 200))) + [2.0**-20, 1.0, 2.0**40]:
+        edges = np.concatenate([np.arange(60.0), rng.integers(0, 2**40, 60)]) * period
+        t = np.concatenate([edges, np.nextafter(edges, math.inf), np.nextafter(edges, 0.0)])
+        n, tprime = np.empty_like(t), np.empty_like(t)
+        _split_time(t, period, n, tprime)
+        want_n = np.floor(t / period)
+        want_n -= t - want_n * period < 0.0
+        want_t = t - want_n * period
+        wrap = period - want_t <= math.ulp(period)
+        assert same_bits((n, tprime), (want_n + wrap, np.where(wrap, 0.0, want_t)))
+
+
 def test_evolve_many_matches_scalar_evolve():
     # the one-step drive puts every time in the same segment; the random
     # drives reach 1e6 periods, where a second rounding of U(T) would show
@@ -493,6 +509,55 @@ def test_evolve_many_matches_searchsorted_kernel_bit_for_bit(seq, periods, order
     got = evolve_many(seq, times)
     want = searchsorted_evolve_many(seq, times)
     assert same_bits(got, want)
+
+
+def test_evolve_many_returns_arrays_of_its_own():
+    # the four rows share no memory with each other or with another call's,
+    # so writing into one result leaves the next call's bits alone
+    seq = five_step_sequence()
+    times = np.linspace(0.0, 40.0 * seq.period, _BLOCK + 5)
+    first = evolve_many(seq, times)
+    want = [x.copy() for x in first]
+    second = evolve_many(seq, times)
+    arrays = first + second
+    for i, x in enumerate(arrays):
+        assert not any(np.shares_memory(x, y) for y in arrays[i + 1:])
+    for x in first:
+        x[...] = np.nan
+    assert same_bits(second, want)
+    assert same_bits(evolve_many(seq, times), want)
+
+
+@pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK + 1, None])
+def test_evolve_many_keeps_shapes_at_block_edges(count):
+    # None is a 0-d time; every count matches the reference bit for bit
+    seq = five_step_sequence()
+    if count is None:
+        times = np.array(3.7 * seq.period)
+    else:
+        times = np.linspace(0.0, 25.0 * seq.period, count)
+    got = evolve_many(seq, times)
+    assert all(x.shape == times.shape for x in got)
+    assert same_bits([x.ravel() for x in got], searchsorted_evolve_many(seq, times.ravel()))
+
+
+@seed(23)
+@settings(deadline=None, max_examples=40)
+@given(seq=edge_drives())
+def test_intra_period_is_evolve_many_inside_the_period(seq):
+    # both run the one kernel: step edges, their neighbouring floats and a
+    # grid over [0, T), leaving out the last ulp that evolve_many promotes
+    period = seq.period
+    starts = seq.boundaries[:-1]
+    tprimes = np.concatenate([
+        starts, np.nextafter(starts[1:], math.inf), np.nextafter(starts[1:], -math.inf),
+        np.linspace(0.0, period, 61)[:-1],
+    ])
+    tprimes = tprimes[tprimes < period - math.ulp(period)]
+    want = evolve_many(seq, tprimes)
+    for i, tprime in enumerate(tprimes):
+        got = intra_period(seq, float(tprime))
+        assert same_bits([np.array(x) for x in got], [x[i] for x in want])
 
 
 def test_evolve_many_preserves_shape():

@@ -241,6 +241,22 @@ def test_degenerate_probe_substitutes_window_limit():
     assert line.amplitude == pytest.approx(0.5, abs=1e-10)
 
 
+def test_subnormal_rotation_angle_gives_finite_lines():
+    # sin(Theta) of U(T) is about 2.5e-322, so 1/sin(Theta) overflows; the
+    # line tables normalise the axis of U(T) instead
+    seq = PulseSequence.from_arrays([0.0], [1e-323], [math.pi], [25.46])
+    tables, theta, _ = _line_table(seq)
+    assert np.isfinite(tables).all() and theta > 0.0
+    for K in (256, None):
+        model = fourier_numeric(seq, (-4, 4), K=K)
+        assert model.components
+        assert all(
+            math.isfinite(x)
+            for x in [model.offset] + [v for c in model.components for v in (c.amplitude, c.phase)]
+        )
+    assert np.isfinite(_aligned_signal(seq, 40.0 * seq.period, 64)[1]).all()
+
+
 def test_unresolved_lines_are_merged_not_double_counted():
     # near-degenerate pair: 2*omega_eff almost equals omega_T - 2*omega_eff;
     # the window cannot resolve them, so exactly one merged line survives
