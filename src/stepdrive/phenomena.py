@@ -389,10 +389,10 @@ def _last_step_root(sequence, field):
     With g the b of P and of its unit turns about the three axes, g_0 = b
     and (g_x, g_y, g_z) = (c, -d, a) of P,
     b(T) = cos(phi) g_0 + sin(phi) (axis . g), phi = E_N tau_N.
-    The duration root is the first zero at phi >= 1e-9 E_N.  The axis is
-    linear in (1, cos theta_N, sin theta_N): b(T) = A + B cos + C sin, and
-    the smaller of its two zeros in [-pi, pi] is the phase root.  A null
-    last step (E_N = 0) leaves b(T) fixed in both and has no root.
+    The duration root is the first zero not lost in the rounding of T.  The
+    axis is linear in (1, cos theta_N, sin theta_N): b(T) = A + B cos +
+    C sin, and the smaller of its two zeros in [-pi, pi] is the phase root.
+    A null last step (E_N = 0) leaves b(T) fixed in both and has no root.
     """
     last = sequence.steps[-1]
     (*_, prefix), _ = _window_starts(sequence)
@@ -425,7 +425,8 @@ def _last_step_root(sequence, field):
     if field == "durations":
         ax, ay, az = last.axis
         phi = math.atan2(-prefix.b, ax * gx + ay * gy + az * gz) % math.pi
-        if phi < 1e-9 * energy:
+        head = PulseSequence(sequence.steps[:-1]).period
+        if head + phi / energy == head:
             phi += math.pi
         return phi / energy
     cn, sn = math.cos(energy * last.tau), math.sin(energy * last.tau)
@@ -444,9 +445,9 @@ def design_manipulation(sequence, target, free_parameter):
     """Tune one field of the last step to reach a target phenomenon.
 
     target = 'cdt' freezes the population of a two-step drive: it requires
-    resonant steps and sets the second phase opposite to the first with
-    matched pulse areas, adjusting the requested free parameter (phase,
-    coupling, or durations).
+    resonant steps, |delta_n| <= 1e-12 epsilon_n, and sets the second phase
+    opposite to the first with matched pulse areas, adjusting the requested
+    free parameter (phase, coupling, or durations).
 
     target = 'complete_transition' zeroes the b coefficient of the period
     propagator U(T) = U_N P of N steps by tuning the free parameter
@@ -471,7 +472,7 @@ def design_manipulation(sequence, target, free_parameter):
         if len(sequence.steps) != 2:
             raise ValueError("cdt design operates on two-step sequences")
         step1, step2 = sequence.steps
-        if abs(step1.delta) > 1e-12 or abs(step2.delta) > 1e-12:
+        if any(abs(step.delta) > 1e-12 * step.epsilon for step in sequence.steps):
             raise ValueError("cdt design requires resonant steps (delta = 0)")
         opposite = step1.theta + math.pi
         if free_parameter == "phase":

@@ -15,9 +15,11 @@ the model error, the P12max scan metric and the beat fit read.
 
 The projection of P on exp(1j*omega*t) over K periods factorizes into an
 analytic window integral over s times a geometric sum over k, so the line
-spectrum is exact and its cost does not grow with K.  As K -> infinity
-only discrete lines survive, at l*omega_T and +/-2*Theta/T + l*omega_T; a
-comb line closer to a probe than pi/(1024*T) counts as that probe's line.
+spectrum is exact and its cost does not grow with K.  No threshold has a
+unit, so a time unit changed by a power of two scales each frequency and
+moves no other bit.  As K -> infinity only discrete lines survive, at
+l*omega_T and +/-2*Theta/T + l*omega_T; a comb line closer to a probe
+than pi/(1024*T) counts as that probe's line.
 
 Lines are labelled by their probe: "sideband" components sit at
 |2*omega_eff + l*omega_T| with omega_eff on the positive-a branch, and
@@ -36,9 +38,6 @@ from .propagator import _window_starts, rotate
 
 # numpy is imported by the functions that build arrays (see the package __init__)
 
-# denominators |probe +/- 2 E_n| below this are treated as exactly resonant
-_DEGENERATE_TOL = 1e-10
-
 # longest projection window: the comb sums carry K times the rounding of a
 # probe phase, about ulp(omega*T), which moves line phases by about 2e-4 at
 # 1e12 periods and passes one radian near 1e15
@@ -52,18 +51,15 @@ ModelError = namedtuple("ModelError", ["value", "horizon"])
 
 
 def _phase_integral(x, tau):
-    """G(x) = integral_0^tau exp(1j*x*s) ds, with the small-x limit."""
-    if abs(x) < _DEGENERATE_TOL:
-        return tau * (1.0 + 0.5j * x * tau)
-    return (cmath.exp(1j * x * tau) - 1.0) / (1j * x)
+    """G(x) = integral_0^tau exp(1j*x*s) ds = tau*sinc(y)*exp(1j*y), y = x*tau/2."""
+    y = 0.5 * x * tau
+    return tau * (math.sin(y) / y if y else 1.0) * cmath.exp(1j * y)
 
 
 def _window_integral(omega, tone, tau):
     """Projection of (1, cos(tone*s), sin(tone*s)) on exp(1j*omega*s).
 
-    Returns the three integrals over s in [0, tau].  A probe on a window
-    tone, omega = +/-tone, is a regime like any other: the limiting form
-    of :func:`_phase_integral` keeps it exact.
+    Returns the three integrals over s in [0, tau].
     """
     gp = _phase_integral(omega + tone, tau)
     gm = _phase_integral(omega - tone, tau)
@@ -331,6 +327,9 @@ def two_step_empirical_model(sequence, p=None):
             "|delta_eff|*T = %g" % (abs(heff.delta_eff) * sequence.period)
         )
     if p is None:
+        for n, step in enumerate(sequence.steps, 1):
+            if step.energy == 0.0:
+                raise ValueError("step %d is null: p = (epsilon/E)**2 is undefined" % n)
         p = max((s.epsilon / s.energy) ** 2 for s in sequence.steps)
     phases = [s.energy * s.tau / math.pi for s in sequence.steps]
     lam = p * (1.0 - 2.0 * phases[0] * phases[1])

@@ -7,9 +7,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, seed, settings
+from hypothesis import strategies as st
 
 import stepdrive.cli as cli
 from stepdrive import (
@@ -151,6 +154,48 @@ def test_a_step_lost_in_the_rounding_of_T_exits_1_in_every_command(tmp_path, cap
         out, err = capsys.readouterr()
         assert out == ""
         assert "step 2: duration 3.67 is lost in the rounding of T" in err
+
+
+# a field magnitude drawn log-uniformly from 1e-300 to 1e300
+_MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@seed(27)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(steps=st.lists(
+    st.tuples(st.sampled_from([-1.0, 1.0]), _MAGNITUDE, _MAGNITUDE,
+              st.floats(-math.pi, math.pi), _MAGNITUDE),
+    min_size=1, max_size=4,
+))
+# a harmonic of amplitude 10.43 once came out of this long period
+@example(steps=[(1.0, 0.3, 1.0, 0.0, 1e-3), (1.0, 1.0, 0.7, 1.0, 1e12)])
+# and nan lines out of this one, with exit 0
+@example(steps=[(-1.0, 2.0396662794689573e-143, 2.023326997497583e-293,
+                 -3.731224297944859, 7.990223103477118e239)])
+def test_spectrum_and_classify_keep_the_edge_input_contract(tmp_path, capsys, steps):
+    """Any finite input gives a clear exit code (1 for input errors, 2 for
+    numerical-domain failures) or an answer: no nan or inf on stdout but
+    classify's residual=inf of an absent return, no line of a probability
+    above amplitude 1, and no RuntimeWarning on the way."""
+    fields = zip(*((sign * delta, eps, theta, tau) for sign, delta, eps, theta, tau in steps))
+    text = "".join("%s = %s\n" % (name, ", ".join(map(repr, values)))
+                   for name, values in zip(("delta", "epsilon", "theta", "tau"), fields))
+    path = write_config(tmp_path, text)
+    for argv in (["classify", path], ["spectrum", path], ["spectrum", path, "--periods", "4096"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+        assert code in (0, 1, 2), argv
+        if code != 0:
+            continue
+        assert "nan" not in out and "inf" not in out.replace("residual=inf", ""), argv
+        if argv[0] == "spectrum":
+            rows = [line.split(",") for line in out.splitlines()
+                    if line[:1] not in ("#", "l")]
+            assert rows and all(float(row[2]) <= 1.0 for row in rows), argv
 
 
 def test_config_error_is_a_value_error():
@@ -640,6 +685,17 @@ def test_scan_counts_nan_cells_by_reason_on_stderr(tmp_path, capsys):
     # a grid with no nan cell prints nothing on stderr
     assert cli.main(["scan", path, "--vary", "delta2=30:50:5", "--metric", "omega_eff"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_scan_names_a_null_step_of_the_empirical_model(tmp_path, capsys):
+    # a null first step leaves the model's default weight undefined
+    path = write_config(
+        tmp_path, "delta = 0, 0\nepsilon = 0, 1\ntheta = 0, 0\ntau = 1, 1.5707963267948966\n"
+    )
+    assert cli.main(["scan", path, "--vary", "epsilon2=1:2:3"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "epsilon2,eps_m\n1,nan\n1.5,nan\n2,nan\n"
+    assert err == "stepdrive: scan: 3 of 3 cells are nan: step N is null: p = (epsilon/E)**2 is undefined\n"
 
 
 def test_scan_nan_summary_keeps_the_constants_of_a_message(tmp_path, capsys):

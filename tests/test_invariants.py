@@ -1,0 +1,104 @@
+"""Metamorphic invariants: exact symmetries of the model as test oracles.
+
+A symmetry costs no more to check at 1e12 periods than at one, and it needs
+no reference value: the products of a drive and of its transformed copy
+must agree.
+"""
+
+import math
+import sys
+
+import numpy as np
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from stepdrive import (
+    PulseSequence,
+    classify,
+    dominant_model,
+    evolve_many,
+    fourier_numeric,
+    model_error,
+)
+from stepdrive.phenomena import _last_step_root
+from stepdrive.spectrum import _aligned_signal
+
+from helpers import random_sequence
+
+
+def in_time_unit(seq, s):
+    """The same drive with times measured in units 1/s of the old ones:
+    tau -> s*tau and (delta, epsilon) -> (delta, epsilon)/s."""
+    return PulseSequence.from_arrays(
+        [step.delta / s for step in seq.steps],
+        [step.epsilon / s for step in seq.steps],
+        [step.theta for step in seq.steps],
+        [step.tau * s for step in seq.steps],
+    )
+
+
+def bits(x):
+    """Exact, comparable form of a float (signed zeros and nan included) or
+    of anything built from floats."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, np.ndarray):
+        return x.tobytes()
+    if isinstance(x, (tuple, list)):
+        return tuple(bits(v) for v in x)
+    return x
+
+
+def unit_products(seq, s, times):
+    """Every product of a drive given in time unit 1/s, with frequencies
+    and durations read back in the unit s = 1, at ``times`` of that unit."""
+    out = {}
+    for K in (256, None):
+        model = fourier_numeric(seq, (-4, 4), K=K)
+        out["lines", K] = [model.offset] + [
+            (c.frequency * s, c.amplitude, c.phase, c.family, c.index)
+            for c in model.components
+        ]
+        out["eps_m", K] = model_error(seq, dominant_model(model)).value
+    out["classify"] = classify(seq).lines()
+    out["P12max"] = float(_aligned_signal(seq, 40.0 * seq.period, 64)[1].max())
+    duration = _last_step_root(seq, "durations")
+    out["durations"] = None if duration is None else duration / s
+    out["phase"] = _last_step_root(seq, "phase")
+    out["evolve_many"] = evolve_many(seq, times * s)
+    return out
+
+
+def field_root(seq, field, s):
+    """The detuning or coupling root read back in the unit s = 1; None for
+    no root, and "subnormal" where the root leaves the normal range in
+    either unit, so that scaling it is not exact."""
+    root = _last_step_root(seq, field)
+    if root is None:
+        return None
+    if 0.0 < min(abs(root), abs(root * s)) < sys.float_info.min:
+        return "subnormal"
+    return root * s
+
+
+@seed(27)
+@settings(max_examples=60, deadline=None)
+@given(drive=st.integers(0, 2**32 - 1), k=st.integers(-40, 40))
+def test_a_change_of_time_unit_changes_no_bit(drive, k):
+    """tau -> s*tau with (delta, epsilon) -> (delta, epsilon)/s, s = 2**k,
+    is exact in binary, and every frequency scales by 1/s while every
+    probability, phase and amplitude stays put: no threshold of the program
+    may carry a unit."""
+    rng = np.random.default_rng(drive)
+    seq = random_sequence(rng, max_steps=8)
+    s = math.ldexp(1.0, k)
+    scaled = in_time_unit(seq, s)
+    times = np.sort(rng.uniform(0.0, 60.0 * seq.period, 64))
+    want = unit_products(seq, 1.0, times)
+    got = unit_products(scaled, s, times)
+    for key in want:
+        assert bits(got[key]) == bits(want[key]), key
+    for field in ("detuning", "coupling"):
+        roots = field_root(seq, field, 1.0), field_root(scaled, field, s)
+        if "subnormal" not in roots:
+            assert bits(roots[1]) == bits(roots[0]), field

@@ -382,6 +382,23 @@ def test_design_cdt_by_each_free_parameter():
     assert math.hypot(per.c, per.d) < 1e-12
 
 
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_design_cdt_reads_resonance_relative_to_the_coupling(k):
+    # time unit 2**-k: a detuning of 2**-44 couplings is resonant and one of
+    # 2**-36 couplings is not, however large the coupling is in that unit
+    s = math.ldexp(1.0, k)
+
+    def pair(delta1):
+        return PulseSequence.from_arrays(
+            [delta1 / s, 0.0], [1.0 / s, 1.0 / s], [0.0, 0.3], [0.3 * s, 0.3 * s]
+        )
+
+    out = design_manipulation(pair(2.0**-44), "cdt", "phase")
+    assert out.steps[1].theta == math.pi
+    with pytest.raises(ValueError, match="resonant steps"):
+        design_manipulation(pair(2.0**-36), "cdt", "phase")
+
+
 def test_design_returns_satisfying_sequence_unchanged():
     # resonant zero-phase steps already have b = 0
     seq = PulseSequence.from_arrays([0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.3, 0.4])

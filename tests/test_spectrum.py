@@ -231,7 +231,8 @@ def test_spectral_weight_matches_signal_variance():
 
 def test_degenerate_probe_substitutes_window_limit():
     # identical resonant steps: the probe at 2*E lands exactly on the
-    # window tone, where the integral needs its limiting form
+    # window tone, where omega - 2*E = 0 and the window integral is tau,
+    # the removable point sinc(0) = 1 of its one closed form
     seq = PulseSequence.from_arrays(
         [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.25 * math.pi, 0.25 * math.pi]
     )
@@ -239,6 +240,36 @@ def test_degenerate_probe_substitutes_window_limit():
     line = model.components[0]
     assert line.frequency == pytest.approx(2.0, abs=1e-12)
     assert line.amplitude == pytest.approx(0.5, abs=1e-10)
+
+
+def test_window_integral_matches_mpmath_from_1e_300_to_1e300():
+    # G = integral_0^tau exp(1j*x*s) ds against its 50-digit value on the
+    # float x and tau, with y = x*tau/2: one form for every x, so the error
+    # is the rounding of y and of the closed form, however small x*tau is
+    rng = np.random.default_rng(27)
+    exponents = range(-300, 301, 25)
+    grid = [(x, t) for x in exponents for t in exponents]
+    drawn = rng.uniform(-300.0, 300.0, (2000, 2))
+    # probes near a window tone at ordinary scales, where cancellation hurt
+    near = np.column_stack([rng.uniform(-9.0, 3.0, 2000), rng.uniform(-2.0, 2.0, 2000)])
+    cases = 0
+    for x_exp, tau_exp in [*grid, *drawn.tolist(), *near.tolist()]:
+        tau = 10.0 ** tau_exp
+        for x in (10.0 ** x_exp, -(10.0 ** x_exp)):
+            y = 0.5 * x * tau
+            if not math.isfinite(y):
+                continue
+            with mpmath.workdps(50):
+                half = mpmath.mpf(x) * mpmath.mpf(tau) / 2
+                exact = mpmath.mpf(tau) * mpmath.sinc(half) * mpmath.expj(half)
+                got = spectrum._phase_integral(x, tau)
+                miss = float(abs(mpmath.mpc(got) - exact))
+            assert miss <= 4.0 * 2.0**-52 * tau * (1.0 + abs(y)), (x, tau)
+            cases += 1
+    assert cases > 5000
+    for zero in (0.0, -0.0):
+        for tau in (1e-300, 1.0, 1e300):
+            assert spectrum._phase_integral(zero, tau) == tau
 
 
 def test_subnormal_rotation_angle_gives_finite_lines():
@@ -488,6 +519,13 @@ def test_empirical_model_input_validation():
     )
     with pytest.raises(ValueError, match="effective detuning too large"):
         two_step_empirical_model(biased)
+    # the default weight p = max(epsilon_n/E_n)**2 has no value on a null
+    # step: its limit depends on how the step becomes null
+    null = PulseSequence.from_arrays([0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 0.5 * math.pi])
+    with pytest.raises(ValueError, match=r"^step 1 is null: p = \(epsilon/E\)\*\*2 is undefined$"):
+        two_step_empirical_model(null)
+    # an explicit weight needs no ratio
+    assert two_step_empirical_model(null, p=0.5).offset == 0.5
 
 
 def test_model_error_self_consistency():
