@@ -245,6 +245,11 @@ def beat_prediction(sequence, resonant_tol=0.01):
         else:
             varpi, varpi_prime = _beat_frequencies(n1, heff)
 
+    # Each tone is half a sum of two non-negative products, which rounds it
+    # by at most 1.5 ulps: equal tones may come out up to 3 ulps of the
+    # larger apart, so a difference within 4 ulps is read as one tone.
+    if abs(varpi_prime - varpi) <= 4.0 * math.ulp(max(abs(varpi), abs(varpi_prime))):
+        varpi_prime = varpi
     omega_b = abs(varpi_prime - varpi)
     t_p = _fit_time_shift(sequence, varpi, varpi_prime, omega_b)
     return BeatPrediction(varpi, varpi_prime, omega_b, t_p, n1)
@@ -292,18 +297,21 @@ def _fit_time_shift(sequence, varpi, varpi_prime, omega_b):
     lo = shifts[max(best - 1, 0)]
     hi = shifts[min(best + 1, count - 1)]
     # Newton on the closed-form derivatives, w' = rate * (-sin, cos) and
-    # w'' = -rate**2 w per tone, kept inside the scan's bracket
+    # w'' = -rate**2 w per tone, kept inside the scan's bracket.  Tones
+    # near sqrt(float max) overflow the curvature (one resonant step of
+    # epsilon = 1e153 does); an inf or nan curvature keeps the scan's point.
     rate = 2.0 * np.array([varpi, varpi, varpi_prime, varpi_prime])
     t_p = shifts[best]
-    for _ in range(6):
-        w = tones(t_p)
-        dw = rate * np.array([-w[1], w[0], -w[3], w[2]])
-        ddw = -rate * rate * w
-        slope = -0.5 * (corr @ dw) + (dw @ gram @ w) / 8.0
-        curve = -0.5 * (corr @ ddw) + (ddw @ gram @ w + dw @ gram @ dw) / 8.0
-        if not curve > 0.0:
-            break
-        t_p = min(max(t_p - slope / curve, lo), hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(6):
+            w = tones(t_p)
+            dw = rate * np.array([-w[1], w[0], -w[3], w[2]])
+            ddw = -rate * rate * w
+            slope = -0.5 * (corr @ dw) + (dw @ gram @ w) / 8.0
+            curve = -0.5 * (corr @ ddw) + (ddw @ gram @ w + dw @ gram @ dw) / 8.0
+            if not 0.0 < curve < math.inf:
+                break
+            t_p = min(max(t_p - slope / curve, lo), hi)
     return float(t_p)
 
 

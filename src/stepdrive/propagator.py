@@ -6,11 +6,10 @@ Every composition is one SU(2) product on the coefficients (a, b, c, d),
 the propagator accumulated so far, and whole periods act from the right on
 the intra-period propagator through a Chebyshev-style power identity in
 the per-period rotation angle Theta of U(T), so the cost of the propagator
-at t' + script_N * T does not grow with the period count script_N.  On a
-time array, each time costs one cos/sin pair for its rotation inside the
-current step plus N comparisons to find that step, and the power factors
-are computed once per run of times with equal script_N.  Every product of
-an array call is written in place into one workspace, in rotate's order.
+at t' + script_N * T does not grow with the period count script_N.  One
+time inside the period is one :func:`compose` on Python floats
+(:func:`intra_period`); :func:`evolve_many` writes the same products in
+place, in rotate's order, for a whole array of times.
 
 The power identity needs cos(script_N*Theta) and the ratio
 sin(script_N*Theta)/sin(Theta).  Theta is read with atan2 from the whole
@@ -104,8 +103,10 @@ def intra_period(sequence, tprime):
     """Propagator from the period start to 0 <= t' <= T.
 
     At t' = T this is U(T) as :func:`_window_starts` composes it from the
-    step durations; below T it is the intra-period part of
-    :func:`evolve_many` on one time.
+    step durations.  Below T it is one :func:`compose` on Python floats of
+    the step holding t' on the prefix U(t_n), with t_n the running sum of
+    :attr:`PulseSequence.period`: a t' on a boundary opens the next step,
+    as in :func:`evolve_many`, whose intra-period product rounds alike.
 
     Parameters
     ----------
@@ -123,18 +124,16 @@ def intra_period(sequence, tprime):
     """
     period = sequence.period
     if not 0.0 <= tprime <= period:
-        raise ValueError(
-            "intra-period time %r outside [0, %r]" % (tprime, period)
-        )
+        raise ValueError("intra-period time %r outside [0, %r]" % (tprime, period))
     starts, per = _window_starts(sequence)
     if tprime == period:
         return per
-    import numpy as np
-
-    inner = np.empty((4, 1))
-    _intra_block(_step_tables(sequence, starts), np.array([float(tprime)]), inner,
-                 np.empty((3, 1)), np.empty(1, dtype=np.intp))
-    return PropagatorCoeffs(*inner[:, 0].tolist())
+    start = 0.0
+    for prefix, step in zip(starts, sequence.steps):
+        if start + step.tau > tprime:
+            break
+        start += step.tau
+    return compose(prefix, step, tprime - start)
 
 
 def period_propagator(sequence):
@@ -261,16 +260,33 @@ def evolve_many(sequence, times):
             )
     ts = times.ravel()
     starts, per = _window_starts(sequence)
-    tables = _step_tables(sequence, starts)
+    energy, start, *columns = _step_tables(sequence, starts)
     out = np.empty((4, ts.size))
     # period counts, t', a scratch row, cos/sin in the step, the power sums
     work = np.empty((9, min(ts.size, _BLOCK)))
     idx = np.empty(work.shape[1], dtype=np.intp)
+    # rotate's a row subtracts its sum, the b, c, d rows add theirs
+    combines = (np.subtract, np.add, np.add, np.add)
     for lo in range(0, ts.size, _BLOCK):
         rows = out[:, lo:lo + _BLOCK]
         n, tp, scratch, cn, sn, *sums = work[:, :rows.shape[1]]
+        at = idx[:rows.shape[1]]
         _split_time(ts[lo:lo + _BLOCK], sequence.period, n, tp)
-        _intra_block(tables, tp, rows, (scratch, cn, sn), idx[:rows.shape[1]])
+        # the step of t': the starts at or below it, in the smallest unsigned type
+        count = np.zeros(tp.shape, dtype=np.min_scalar_type(len(start) - 1))
+        for edge in start[1:]:
+            count += tp >= edge
+        np.copyto(at, count)
+        # U(t') = U_step(t' - t_n) U(t_n) from the step's table columns;
+        # mode "clip" takes into out= unbuffered
+        np.subtract(tp, np.take(start, at, out=scratch, mode="clip"), out=scratch)
+        np.multiply(np.take(energy, at, out=cn, mode="clip"), scratch, out=scratch)
+        np.cos(scratch, out=cn)
+        np.sin(scratch, out=sn)
+        for row, coeff, total, combine in zip(rows, columns[:4], columns[4:], combines):
+            np.multiply(np.take(total, at, out=row, mode="clip"), sn, out=row)
+            np.multiply(np.take(coeff, at, out=scratch, mode="clip"), cn, out=scratch)
+            combine(scratch, row, out=row)
         # one factor pair per run of equal period counts, in any time order;
         # `cuts` holds the first index of each run and the block end
         cuts = np.flatnonzero(np.concatenate(([True], n[1:] != n[:-1], [True])))
@@ -278,7 +294,7 @@ def evolve_many(sequence, times):
         cos_n, ratio = (np.repeat(f, lengths) for f in _power_factors(per, n[cuts[:-1]]))
         # U(t') U(T)**n, the power identity, on U(t') in the rows of out
         _cross_sums(sums, rows, (per.d, per.c, per.b), -1, scratch)
-        for row, total, combine in zip(rows, sums, (np.subtract, np.add, np.add, np.add)):
+        for row, total, combine in zip(rows, sums, combines):
             np.multiply(total, ratio, out=total)
             combine(np.multiply(row, cos_n, out=row), total, out=row)
     return tuple(row.reshape(times.shape) for row in out)
@@ -313,32 +329,6 @@ def _step_tables(sequence, starts):
     axes = np.transpose([step.axis for step in sequence.steps])
     _cross_sums(tables[6:], tables[2:6], axes, 1, np.empty(len(starts)))
     return tables
-
-
-def _intra_block(tables, tp, inner, work, idx):
-    """(a, b, c, d) of U(t') on a flat array of times 0 <= t' < T, written
-    into the rows of ``inner``; each time reads its step's column of the
-    :func:`_step_tables` through ``idx``.  ``work`` holds three arrays."""
-    import numpy as np
-
-    energy, start, *columns = tables
-    scratch, cn, sn = work
-    # the step starts at or below t', counted in the smallest unsigned type
-    count = np.zeros(tp.shape, dtype=np.min_scalar_type(len(start) - 1))
-    for edge in start[1:]:
-        count += tp >= edge
-    np.copyto(idx, count)
-    # E (t' - t_n), the phase in the step; mode "clip" takes into out= unbuffered
-    np.subtract(tp, np.take(start, idx, out=scratch, mode="clip"), out=scratch)
-    np.multiply(np.take(energy, idx, out=cn, mode="clip"), scratch, out=scratch)
-    np.cos(scratch, out=cn)
-    np.sin(scratch, out=sn)
-    for row, coeff, total, combine in zip(
-        inner, columns[:4], columns[4:], (np.subtract, np.add, np.add, np.add)
-    ):
-        np.multiply(np.take(total, idx, out=row, mode="clip"), sn, out=row)
-        np.multiply(np.take(coeff, idx, out=scratch, mode="clip"), cn, out=scratch)
-        combine(scratch, row, out=row)
 
 
 def transition_probabilities(sequence, times):

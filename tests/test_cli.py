@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -158,16 +159,54 @@ def test_a_step_lost_in_the_rounding_of_T_exits_1_in_every_command(tmp_path, cap
 
 # a field magnitude drawn log-uniformly from 1e-300 to 1e300
 _MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_PHASE = st.floats(-math.pi, math.pi)
+
+
+def _cycle_drive(scale, steps, half):
+    # quarter-cycle steps, E*tau = pi/2, with couplings within 1e3 of
+    # `scale`, each resonant or detuned by `ratio` couplings; an odd count
+    # makes step `half` (modulo the count) a half cycle, E*tau = pi
+    drive = []
+    for i, (sign, ratio, exponent, theta) in enumerate(steps):
+        epsilon = scale * 10.0 ** exponent
+        delta = ratio * epsilon
+        area = math.pi if len(steps) % 2 and i == half % len(steps) else 0.5 * math.pi
+        drive.append((sign, delta, epsilon, theta, area / math.hypot(epsilon, 0.5 * delta)))
+    return drive
+
+
+# a drive is a list of steps (detuning sign, |delta|, epsilon, theta, tau):
+# either every field free, or the resonant and strongly detuned cycles
+# that `beat` models
+_DRIVES = st.one_of(
+    st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), _MAGNITUDE, _MAGNITUDE, _PHASE,
+                       _MAGNITUDE), min_size=1, max_size=4),
+    st.builds(_cycle_drive, _MAGNITUDE, st.lists(
+        st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([0.0, 0.0, 15.0, 40.0]),
+                  st.floats(-3.0, 3.0), _PHASE),
+        min_size=1, max_size=4), st.integers(0, 3)),
+)
+
+
+def _drive_config(tmp_path, steps):
+    fields = zip(*((sign * delta, eps, theta, tau) for sign, delta, eps, theta, tau in steps))
+    text = "".join("%s = %s\n" % (name, ", ".join(map(repr, values)))
+                   for name, values in zip(("delta", "epsilon", "theta", "tau"), fields))
+    return write_config(tmp_path, text)
+
+
+def _run_recording_warnings(argv):
+    """The exit code of one command and the RuntimeWarnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    return code, [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @seed(27)
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(steps=st.lists(
-    st.tuples(st.sampled_from([-1.0, 1.0]), _MAGNITUDE, _MAGNITUDE,
-              st.floats(-math.pi, math.pi), _MAGNITUDE),
-    min_size=1, max_size=4,
-))
+@given(steps=_DRIVES)
 # a harmonic of amplitude 10.43 once came out of this long period
 @example(steps=[(1.0, 0.3, 1.0, 0.0, 1e-3), (1.0, 1.0, 0.7, 1.0, 1e12)])
 # and nan lines out of this one, with exit 0
@@ -178,16 +217,11 @@ def test_spectrum_and_classify_keep_the_edge_input_contract(tmp_path, capsys, st
     numerical-domain failures) or an answer: no nan or inf on stdout but
     classify's residual=inf of an absent return, no line of a probability
     above amplitude 1, and no RuntimeWarning on the way."""
-    fields = zip(*((sign * delta, eps, theta, tau) for sign, delta, eps, theta, tau in steps))
-    text = "".join("%s = %s\n" % (name, ", ".join(map(repr, values)))
-                   for name, values in zip(("delta", "epsilon", "theta", "tau"), fields))
-    path = write_config(tmp_path, text)
+    path = _drive_config(tmp_path, steps)
     for argv in (["classify", path], ["spectrum", path], ["spectrum", path, "--periods", "4096"]):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = cli.main(argv)
+        code, caught = _run_recording_warnings(argv)
         out = capsys.readouterr().out
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+        assert not caught, argv
         assert code in (0, 1, 2), argv
         if code != 0:
             continue
@@ -196,6 +230,43 @@ def test_spectrum_and_classify_keep_the_edge_input_contract(tmp_path, capsys, st
             rows = [line.split(",") for line in out.splitlines()
                     if line[:1] not in ("#", "l")]
             assert rows and all(float(row[2]) <= 1.0 for row in rows), argv
+
+
+# nan or inf as a whole token: "n_resonant" holds "nan" but is no value
+_NON_FINITE = re.compile(r"\b(?:nan|inf)\b", re.IGNORECASE)
+
+
+@seed(28)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(steps=_DRIVES)
+def test_heff_propagate_beat_and_scan_keep_the_edge_input_contract(tmp_path, capsys, steps):
+    """The contract of the spectrum test above for the other commands: exit
+    0, 1 or 2, no RuntimeWarning, and on exit 0 no nan or inf on stdout but
+    the scan cells that stderr gives a reason for."""
+    path = _drive_config(tmp_path, steps)
+    period = sum(step[-1] for step in steps)
+    for argv in (
+        ["heff", path],
+        ["heff", path, "--jump-lambda", "0.3"],
+        ["propagate", path, "--tgrid", "0:%r:101" % (20.0 * period)],
+        ["beat", path],
+        ["scan", path, "--vary", "epsilon1=%r:%r:2" % (steps[0][2], 2.0 * steps[0][2]),
+         "--metric", "P12max"],
+    ):
+        code, caught = _run_recording_warnings(argv)
+        out, err = capsys.readouterr()
+        assert not caught, argv
+        assert code in (0, 1, 2), argv
+        if code != 0:
+            continue
+        if argv[0] == "scan":
+            cells = [line.rsplit(",", 1) for line in out.splitlines()[1:]]
+            explained = sum(int(line.split()[2]) for line in err.splitlines()
+                            if " cells are nan: " in line)
+            assert explained == sum(cell[1] == "nan" for cell in cells), argv
+            out = "\n".join(cell[0] for cell in cells)
+        assert not _NON_FINITE.search(out), argv
 
 
 def test_config_error_is_a_value_error():
@@ -803,6 +874,23 @@ def test_beat_without_a_beat_prints_40_periods(tmp_path, capsys):
     assert {row[1] for row in rows} == {"1"}
 
 
+def test_beat_of_tones_one_ulp_apart_prints_a_flat_envelope(tmp_path, capsys):
+    # U(T) = 1 up to rounding: the tones agree within their rounding, so
+    # there is no beat and the envelope spans 40 periods, not 1.4e16 time units
+    path = write_config(tmp_path, "delta = 0, 0\nepsilon = 4.68, 21.68\n"
+                                  "theta = 3.141592653589793, 0\n"
+                                  "tau = 0.3356402407681403, 0.07245370511046571\n")
+    seq = cli.read_config(path)
+    assert cli.main(["beat", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split(" = ")[1] == lines[1].split(" = ")[1]
+    assert lines[2] == "# omega_b = 0"
+    rows = [line.split(",") for line in lines[6:]]
+    assert len(rows) == 1001
+    assert float(rows[-1][0]) == 40.0 * seq.period
+    assert {row[1] for row in rows} == {"1"}
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     path = write_config(tmp_path, PAIR_CONFIG)
     assert cli.main(["warp", path]) == 1
@@ -951,6 +1039,30 @@ def test_import_and_scalar_requests_do_not_load_numpy(start_up_report):
         assert start_up_report[stage]["numpy"] is False, stage
     # the probe sees numpy once a request builds an array
     assert start_up_report["propagate"]["numpy"] is True
+
+
+# Runs in a fresh interpreter: the micromotion generator and the
+# intra-period propagator of the README pair inside the period, on a step
+# boundary included; prints whether numpy is loaded after them.
+_INTRA_PERIOD_PROBE = """
+import sys
+from stepdrive import PulseSequence, intra_period, micromotion
+seq = PulseSequence.from_arrays(
+    [0.0, 40.0], [1.0, 1.0], [0.0, 0.0], [1.5707963267948966, 0.078441825264356502]
+)
+micromotion(seq, 0.37 * seq.period)
+for tprime in (0.0, 0.37 * seq.period, seq.steps[0].tau, 0.999 * seq.period):
+    intra_period(seq, tprime)
+print("numpy" in sys.modules)
+"""
+
+
+def test_micromotion_and_intra_period_do_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _INTRA_PERIOD_PROBE],
+        env=_child_env(), capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "False\n"
 
 
 def test_cli_start_up_asks_for_one_blas_thread_and_no_process_pool(start_up_report):

@@ -9,6 +9,7 @@ import math
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -102,3 +103,73 @@ def test_a_change_of_time_unit_changes_no_bit(drive, k):
         roots = field_root(seq, field, 1.0), field_root(scaled, field, s)
         if "subnormal" not in roots:
             assert bits(roots[1]) == bits(roots[0]), field
+
+
+def gauge(seq, phi):
+    """theta_n -> theta_n + phi: the field turned about z by phi, which a
+    turn of the frame undoes, so no probability moves."""
+    return PulseSequence.from_arrays(
+        [step.delta for step in seq.steps],
+        [step.epsilon for step in seq.steps],
+        [step.theta + phi for step in seq.steps],
+        [step.tau for step in seq.steps],
+    )
+
+
+def level_swap(seq, phi):
+    """(delta_n, theta_n) -> (-delta_n, pi - theta_n): H -> -H*, so every
+    propagator becomes its complex conjugate, (a, b, c, d) -> (a, -b, c, -d),
+    and no probability moves (``phi`` is unused)."""
+    return PulseSequence.from_arrays(
+        [-step.delta for step in seq.steps],
+        [step.epsilon for step in seq.steps],
+        [math.pi - step.theta for step in seq.steps],
+        [step.tau for step in seq.steps],
+    )
+
+
+_WINDOW = 256  # periods of the spectrum window
+
+
+def invariant_products(seq, times):
+    """Each product with the period count n it spans: the P rows of
+    evolve_many, classify's cdt, complete_transition and swapping
+    residuals (one period), and the K = 256 line amplitudes and offset,
+    keyed by family and index."""
+    _, _, c, d = evolve_many(seq, times)
+    report = classify(seq)
+    model = fourier_numeric(seq, (-4, 4), K=_WINDOW)
+    return {
+        "P": (c * c + d * d, times / seq.period + 1.0),
+        "residuals": (np.array([report.cdt.residual, report.complete_transition.residual,
+                                report.swapping.residual]), 1.0),
+        "amplitudes": ({(line.family, line.index): line.amplitude for line in model.components}
+                       | {"offset": model.offset}, float(_WINDOW)),
+    }
+
+
+# c of the bound c * n * max(E tau) * N * eps, one per invariant; about
+# three times the largest ratio seen on 2400 drives of up to 8 steps
+@pytest.mark.parametrize("transform, c", [(gauge, 8.0), (level_swap, 6.0)],
+                         ids=["phase_gauge", "level_swap"])
+@seed(28)
+@settings(max_examples=100, deadline=None)
+@given(drive=st.integers(0, 2**32 - 1), phi=st.floats(-math.pi, math.pi))
+def test_a_symmetry_of_the_drive_moves_no_probability_beyond_rounding(
+    transform, c, drive, phi
+):
+    """The transformed drive gives the same probabilities, residuals and
+    line amplitudes over 50 periods, within c * n * max(E tau) * N * eps."""
+    rng = np.random.default_rng(drive)
+    seq = random_sequence(rng, max_steps=8)
+    times = np.sort(rng.uniform(0.0, 50.0 * seq.period, 64))
+    unit = (c * max(step.energy * step.tau for step in seq.steps) * len(seq.steps)
+            * sys.float_info.epsilon)
+    want = invariant_products(seq, times)
+    got = invariant_products(transform(seq, phi), times)
+    for key in ("P", "residuals"):
+        (value, n), (expected, _) = got[key], want[key]
+        assert np.all(np.abs(value - expected) <= n * unit), key
+    (lines, n), (expected, _) = got["amplitudes"], want["amplitudes"]
+    assert lines.keys() == expected.keys()
+    assert max(abs(lines[key] - expected[key]) for key in lines) <= n * unit

@@ -167,6 +167,18 @@ def test_identical_resonant_steps_do_not_beat():
     assert not bp.is_beat
 
 
+def test_a_beat_made_of_rounding_is_no_beat():
+    # opposite phases and quarter-cycle areas give U(T) = 1 up to rounding;
+    # the tones once came out one ulp apart, omega_b = 8.9e-16, a "beat"
+    # period of 1.4e16 time units
+    seq = quarter_cycle_sequence([4.68, 21.68], [0.0, 0.0], [math.pi, 0.0])
+    bp = beat_prediction(seq)
+    assert bp.varpi_1_prime == bp.varpi_1
+    assert bp.omega_b == abs(bp.varpi_1_prime - bp.varpi_1) == 0.0
+    assert not bp.is_beat
+    assert abs(bp.t_p) <= seq.period
+
+
 def test_detuned_half_cycle_drops_out_of_the_rules():
     # odd count with the half-cycle step detuned: even-count rules at n1
     seq = quarter_cycle_sequence(

@@ -545,8 +545,9 @@ def test_evolve_many_keeps_shapes_at_block_edges(count):
 @settings(deadline=None, max_examples=40)
 @given(seq=edge_drives())
 def test_intra_period_is_evolve_many_inside_the_period(seq):
-    # both run the one kernel: step edges, their neighbouring floats and a
-    # grid over [0, T), leaving out the last ulp that evolve_many promotes
+    # the scalar product and the array kernel round alike: step edges,
+    # their neighbouring floats and a grid over [0, T), leaving out the
+    # last ulp that evolve_many promotes
     period = seq.period
     starts = seq.boundaries[:-1]
     tprimes = np.concatenate([
