@@ -17,18 +17,12 @@ from collections import namedtuple
 from .core import BeatPrediction, PulseSequence, validate
 from .effective import effective_hamiltonian
 from .propagator import _window_starts, compose, period_propagator
-from .spectrum import _aligned_signal, dominant_model, fourier_numeric
+from .spectrum import _aligned_signal, _line_spectrum, dominant_model
 
 # numpy is imported by the functions that build arrays (see the package __init__)
 
 # dynamical-phase tolerance when recognizing quarter- and half-cycle pulses
 _AREA_TOL = 1e-6
-
-# spectral components below this amplitude are ignored by the beat flag
-_BEAT_FLOOR = 0.02
-
-# periods in the beat flag's projection window
-_BEAT_PERIODS = 4096
 
 
 class PhenomenonFlag(namedtuple("PhenomenonFlag", ["name", "active", "residual", "index"])):
@@ -85,9 +79,10 @@ def classify(sequence, tol=1e-3, max_index=64):
     * swapping: |cos(Theta)| = |a| < tol, stepwise already at one period;
     * beat: the two dominant spectral lines are close in frequency
       (difference below a tenth of the sum) and comparable in amplitude
-      (within a factor 3).  The lines come from a fixed 4096-period
-      window; a pair too close to resolve within it shows no beat on any
-      practical horizon and is not flagged.
+      (within a factor 3).  The lines are the infinite window's discrete
+      lines (see :func:`fourier_numeric` with K=None), so no window
+      leakage makes a second line; a pair closer than pi/(4096*T) merges
+      into one line, shows no beat within 4096 periods and is not flagged.
 
     Parameters
     ----------
@@ -126,8 +121,7 @@ def classify(sequence, tol=1e-3, max_index=64):
             break
 
     beat = PhenomenonFlag("beat", False, math.inf, None)
-    spectral = fourier_numeric(sequence, (-3, 3), K=_BEAT_PERIODS)
-    strong = dominant_model(spectral, 2, _BEAT_FLOOR).components
+    strong = dominant_model(_line_spectrum(sequence, (-3, 3), None), 2).components
     if len(strong) == 2:
         first, second = strong
         diff = abs(first.frequency - second.frequency)

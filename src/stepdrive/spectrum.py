@@ -19,7 +19,8 @@ spectrum is exact and its cost does not grow with K.  No threshold has a
 unit, so a time unit changed by a power of two scales each frequency and
 moves no other bit.  As K -> infinity only discrete lines survive, at
 l*omega_T and +/-2*Theta/T + l*omega_T; a comb line closer to a probe
-than pi/(1024*T) counts as that probe's line.
+than pi/(4096*T), the resolution of a 4096-period window, counts as that
+probe's line.
 
 Lines are labelled by their probe: "sideband" components sit at
 |2*omega_eff + l*omega_T| with omega_eff on the positive-a branch, and
@@ -44,8 +45,9 @@ from .propagator import _window_starts, rotate
 _MAX_PERIODS = 1_000_000
 
 # in the infinite-window limit, comb lines closer than this (in units of
-# 1/T) to a probe are that probe's line
-_RESOLUTION = math.pi / 1024.0
+# 1/T) to a probe are that probe's line: the resolution of 4096 periods,
+# the one horizon that decides which K=None lines are distinct
+_RESOLUTION = math.pi / 4096.0
 
 ModelError = namedtuple("ModelError", ["value", "horizon"])
 
@@ -130,7 +132,7 @@ def _comb(x, K):
     The phase is reduced to r in [-pi, pi] first, so the closed form of the
     geometric sum stays exact on and near its peaks at multiples of 2*pi.
     The limit is 1 on a peak and 0 elsewhere; a peak within the resolution
-    counts as hit.
+    pi/4096 counts as hit.
     """
     r = math.remainder(x, 2.0 * math.pi)
     if K is None:
@@ -147,7 +149,7 @@ def _line_spectrum(sequence, l_range, K):
     branch), then the harmonics (l + 1)*omega_T, for l over the inclusive
     range.  Which probes become lines depends on frequency alone, so each
     is folded to |omega| and chosen before it is projected, with tol =
-    pi/(K*T), or pi/(1024*T) for K=None.  A probe is dropped below tol (the
+    pi/(K*T), or pi/(4096*T) for K=None.  A probe is dropped below tol (the
     window cannot tell it from the constant, which the offset carries),
     above the cap 2*pi/min(tau_n), or within tol of a kept line: the window
     cannot resolve the two, so each carries the full merged line, and the
@@ -225,7 +227,7 @@ def fourier_numeric(sequence, l_range=(-4, 4), K=256, samples_per_step=64):
     K : int or None
         Number of periods retained in the projection window, 1 to
         1,000,000; None gives the infinite window, where lines closer than
-        pi/(1024*T) merge into one.
+        pi/(4096*T) merge into one.
     samples_per_step : int
         Ignored: the projection needs no samples.  Still accepted so that
         callers written for an earlier sampled version keep working.
@@ -272,7 +274,7 @@ def fourier_closed_form_two_step(sequence, l_range=(-4, 4), K=None):
         Inclusive range of the summation index l.
     K : int or None
         Number of retained periods, 1 to 1,000,000; None gives the infinite
-        window, where lines closer than pi/(1024*T) merge into one.
+        window, where lines closer than pi/(4096*T) merge into one.
 
     Returns
     -------

@@ -16,6 +16,7 @@ from stepdrive import (
     classify,
     complete_transition_time,
     design_manipulation,
+    dominant_model,
     effective_hamiltonian,
     evolve,
     fourier_numeric,
@@ -29,7 +30,7 @@ from stepdrive.phenomena import _FREE_FIELDS, _with_field
 from stepdrive.propagator import _window_starts, compose
 from stepdrive.spectrum import _aligned_signal
 
-from helpers import mp_propagator, quarter_cycle_sequence, resonant_plus_detuned
+from helpers import mp_propagator, quarter_cycle_sequence, random_sequence, resonant_plus_detuned
 
 # frozen beat prediction of the resonant-plus-detuned pair
 RPD_OMEGA_B = 0.060583604204843544
@@ -126,6 +127,62 @@ def test_beat_flag_reads_lines_unmixed_by_a_short_window():
     beat = classify(seq).beat
     assert beat.active is False
     assert beat.residual == pytest.approx(0.3784543247494671, rel=1e-12)
+
+
+def test_beat_flag_reads_no_leakage_line():
+    # four equal steps with Theta just below pi/2: at 4096 periods a
+    # leakage line 8.2e-4 above the main line made a "similar" second line
+    # and flagged a beat; the discrete lines, like 1,000,000 periods, hold
+    # one strong line
+    seq = PulseSequence.from_arrays(
+        [1.9845647604745116] * 4, [0.7944453276721302] * 4,
+        [-1.6134248217814176] * 4, [0.308887811727781] * 4,
+    )
+    beat = classify(seq).beat
+    assert beat.active is False
+    assert beat.residual == math.inf
+
+
+def test_a_slow_beat_within_the_line_horizon_is_flagged():
+    # two strong lines 3.08e-5 apart at T = 67.95: more than pi/(4096 T),
+    # so they stay two lines and beat; a merge width of pi/(1024 T) would
+    # fold them into one
+    seq = PulseSequence.from_arrays(
+        [-0.3808145432530964, 8.691883212670808, -1.1220443806633802,
+         0.16826701760028925, 0.01316979531116591],
+        [0.3026531190107725, 0.3510978176550214, 0.10211202838795565,
+         6.017085073025536, 16.182131427801707],
+        [2.112405658137459, 2.787499457062909, 1.8085416280785198,
+         0.8734121805596544, -2.791731279147191],
+        [0.01960397477089193, 22.73374089005397, 0.03538727355229884,
+         0.0320181839952805, 45.132852926156765],
+    )
+    beat = classify(seq).beat
+    assert beat.active is True
+    assert beat.residual == pytest.approx(3.3338265873430860e-4, rel=1e-12)
+
+
+def long_window_beat(seq):
+    """Beat flag by classify's strong-pair rule on a 1,000,000-period
+    window, and the spacing of that pair (None without a pair)."""
+    strong = dominant_model(fourier_numeric(seq, (-3, 3), K=10**6), 2).components
+    if len(strong) < 2:
+        return False, None
+    first, second = strong
+    diff = abs(first.frequency - second.frequency)
+    comparable = second.amplitude >= first.amplitude / 3.0
+    return diff / (first.frequency + second.frequency) < 0.1 and comparable, diff
+
+
+def test_beat_flag_agrees_with_a_long_window():
+    # wherever a 1,000,000-period window resolves its strong pair at the
+    # line horizon, pi/(4096 T), classify flags the beat that window shows
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        seq = random_sequence(rng)
+        want, spacing = long_window_beat(seq)
+        if spacing is None or spacing > math.pi / (4096.0 * seq.period):
+            assert classify(seq).beat.active is want, seq
 
 
 def test_report_lines_are_printable():

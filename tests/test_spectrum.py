@@ -354,7 +354,7 @@ def _project_then_assemble(sequence, l_range, K):
     probes += [("harmonic", l + 1, (l + 1) * omega_t) for l in range(lmin, lmax + 1)]
     raw = [(family, l, freq, project(freq)) for family, l, freq in probes if freq != 0.0]
     cap = 2.0 * math.pi / sequence.min_tau
-    dedup = (math.pi / 1024.0 if K is None else math.pi / K) / period
+    dedup = (spectrum._RESOLUTION if K is None else math.pi / K) / period
     rows, kept = [], []
     for family, l, freq, z in raw:
         if freq < 0.0:
