@@ -276,7 +276,7 @@ def _scan_cell(arrays, fields, metric, resolve, values):
         if metric == "omega_eff":
             result = effective_hamiltonian(sequence, branch="positive_a").omega_eff
         elif metric == "P12max":
-            result = float(_aligned_signal(sequence, 40.0 * sequence.period, 64)[1].max())
+            result = float(_aligned_signal(sequence, 40, 64)[1].max())
         else:
             model = two_step_empirical_model(sequence)
             result = model_error(sequence, model).value

@@ -17,7 +17,7 @@ from collections import namedtuple
 from .core import BeatPrediction, PulseSequence, validate
 from .effective import effective_hamiltonian
 from .propagator import _window_starts, compose, period_propagator
-from .spectrum import _aligned_signal, _line_spectrum, dominant_model
+from .spectrum import _line_spectrum, _phase_integral, _projector, dominant_model
 
 # numpy is imported by the functions that build arrays (see the package __init__)
 
@@ -181,9 +181,10 @@ def beat_prediction(sequence, resonant_tol=0.01):
     rules by one index, while a detuned one drops out of the sequence
     entirely and the rules apply to the remaining steps.
 
-    The time shift t_p is fitted by least squares against the exact signal
-    of the line tables over max(4*pi/omega_b, 10 T), at most 2000 T, by a
-    dense scan refined with Newton steps on the closed-form derivatives.
+    The time shift t_p minimises the time integral of the squared misfit
+    over K = ceil(min(max(4*pi/(omega_b*T), 10), 2000)) whole periods, or
+    40 when omega_b = 0, from the exact projection of the line tables
+    without samples (see :func:`_fit_time_shift`).
 
     Parameters
     ----------
@@ -249,64 +250,78 @@ def beat_prediction(sequence, resonant_tol=0.01):
     return BeatPrediction(varpi, varpi_prime, omega_b, t_p, n1)
 
 
+def _fit_moments(sequence, rates, periods):
+    """Correlations integral f*(1/2 - P) dt and Gram matrix integral f f^T dt
+    over K = ``periods`` periods, f = (cos(r*t) for r in rates, then sin(r*t)).
+    With G(x) = integral exp(1j*x*t) dt, the correlations are the parts of
+    G(r)/2 - (K*T/2)*project(r) (see :func:`spectrum._projector`), and the
+    Gram entries those of (G(r - q) +/- G(r + q))/2."""
+    import numpy as np
+
+    horizon = periods * sequence.period
+    project = _projector(sequence, periods)
+    z = np.array([0.5 * _phase_integral(r, horizon) - 0.5 * horizon * project(r) for r in rates])
+    plus, minus = (np.array([[_phase_integral(r + sign * q, horizon) for q in rates]
+                             for r in rates]) for sign in (1.0, -1.0))
+    # cos(r*t)*sin(q*t) = (sin((r + q)*t) - sin((r - q)*t))/2, and so on
+    gram = 0.5 * np.block([[(minus + plus).real, (plus - minus).imag],
+                           [(plus + minus).imag, (minus - plus).real]])
+    return np.concatenate((z.real, z.imag)), gram
+
+
 def _fit_time_shift(sequence, varpi, varpi_prime, omega_b):
     """Least-squares time shift of the two-tone model against the signal.
 
-    Both model tones are phase-locked at t = t_p, so aligning them with
-    the two independent tone phases of the signal can require shifts up
-    to a full beat period; the search must cover that whole range.  The
-    misfit is quadratic in the four phase factors cos/sin(2 varpi t_p),
-    which makes a dense global scan cheap: the data inner products are
-    accumulated once and each candidate costs O(1).
+    The model is 1/2 - w.f/4, with f the waveforms of :func:`_fit_moments`
+    at the rates 2*varpi, 2*varpi_prime and w their values at t_p, so over
+    the horizon of :func:`beat_prediction` the misfit is
+    integral (1/2 - P)**2 dt - w.c/2 + w.G.w/16 and a candidate costs O(1).
+    Both tones are phase-locked at t_p, so matching the two tone phases of
+    the signal can take a shift of up to a beat period: a dense scan covers
+    that range, Newton steps refine each of its local minima, and the
+    lowest point wins.
     """
     import numpy as np
 
     period = sequence.period
-    if omega_b > 0.0:
-        horizon = min(max(4.0 * math.pi / omega_b, 10.0 * period), 2000.0 * period)
-    else:
-        horizon = 40.0 * period
-    times, exact = _aligned_signal(sequence, horizon, 16)
+    periods = (math.ceil(min(max(4.0 * math.pi / omega_b / period, 10.0), 2000.0))
+               if omega_b > 0.0 else 40)
+    rates = np.array([2.0 * varpi, 2.0 * varpi_prime])
+    corr, gram = _fit_moments(sequence, rates, periods)
 
     def tones(t):
-        # cos/sin of both model tones at t, a float or an array
-        return np.stack([np.cos(2.0 * varpi * t), np.sin(2.0 * varpi * t),
-                         np.cos(2.0 * varpi_prime * t), np.sin(2.0 * varpi_prime * t)])
+        phases = np.multiply.outer(rates, t)
+        return np.concatenate((np.cos(phases), np.sin(phases)))
 
-    # misfit(t_p) = sum_t (g - w.f/4)^2 with g = 1/2 - P12, f the four
-    # tone waveforms, and w the t_p phase factors
-    basis = tones(times)
-    corr = basis @ (0.5 - exact)
-    gram = basis @ basis.T
+    def cost(w):
+        return -0.5 * (corr @ w) + np.sum(w * (gram @ w), axis=0) / 16.0
 
     mean_tone = 0.5 * abs(varpi + varpi_prime)
-    half_range = max(math.pi / omega_b if omega_b > 0.0 else 0.0,
-                     math.pi / mean_tone, period)
+    half_range = max(math.pi / omega_b if omega_b > 0.0 else 0.0, math.pi / mean_tone, period)
     step = math.pi / mean_tone / 40.0
     count = min(int(2.0 * half_range / step) + 1, 400001)
     shifts = np.linspace(-half_range, half_range, count)
-    w_all = tones(shifts)
-    costs = -0.5 * (corr @ w_all) + np.sum(w_all * (gram @ w_all), axis=0) / 16.0
-    best = int(np.argmin(costs))
-    lo = shifts[max(best - 1, 0)]
-    hi = shifts[min(best + 1, count - 1)]
-    # Newton on the closed-form derivatives, w' = rate * (-sin, cos) and
-    # w'' = -rate**2 w per tone, kept inside the scan's bracket.  Tones
-    # near sqrt(float max) overflow the curvature (one resonant step of
-    # epsilon = 1e153 does); an inf or nan curvature keeps the scan's point.
-    rate = 2.0 * np.array([varpi, varpi, varpi_prime, varpi_prime])
-    t_p = shifts[best]
+    costs = cost(tones(shifts))
+    index = np.flatnonzero((np.diff(costs, prepend=math.inf) <= 0.0)
+                           & (np.diff(costs, append=math.inf) >= 0.0))
+    lo, hi = shifts[np.maximum(index - 1, 0)], shifts[np.minimum(index + 1, count - 1)]
+    # Newton from each local minimum of the scan, kept between its neighbours,
+    # on w' = rate*(-sin, cos) and w'' = -rate**2*w.  A tone near sqrt(float
+    # max) (one resonant step of epsilon = 1e153) overflows the curvature;
+    # an inf or nan curvature leaves the point as it is.
+    rate = np.tile(rates, 2)[:, None]
+    t_p = shifts[index]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(6):
             w = tones(t_p)
-            dw = rate * np.array([-w[1], w[0], -w[3], w[2]])
+            dw = rate * np.concatenate((-w[2:], w[:2]))
+            gw = gram @ w
             ddw = -rate * rate * w
-            slope = -0.5 * (corr @ dw) + (dw @ gram @ w) / 8.0
-            curve = -0.5 * (corr @ ddw) + (ddw @ gram @ w + dw @ gram @ dw) / 8.0
-            if not 0.0 < curve < math.inf:
-                break
-            t_p = min(max(t_p - slope / curve, lo), hi)
-    return float(t_p)
+            slope = -0.5 * (corr @ dw) + np.sum(dw * gw, axis=0) / 8.0
+            curve = -0.5 * (corr @ ddw) + np.sum(ddw * gw + dw * (gram @ dw), axis=0) / 8.0
+            ok = (0.0 < curve) & (curve < math.inf)
+            t_p = np.where(ok, np.clip(t_p - slope / np.where(ok, curve, 1.0), lo, hi), t_p)
+    return float(t_p[np.argmin(cost(tones(t_p)))])
 
 
 def phase_from_beat(omega_b, sequence):

@@ -9,9 +9,9 @@ so the transition probability, quadratic in the propagator, is exactly
 
 for any step count and in every parameter regime.  The 3x3 tables C_n are
 built once per drive.  They are also the one model of a sampled signal:
-on offsets s_j repeated over periods k, P is the product of the window
-tones h(2*E_n*s_j) and the period coefficients C_n h(2*k*Theta), which
-the model error, the P12max scan metric and the beat fit read.
+on offsets s_j repeated over whole periods k, P is the product of the
+window tones h(2*E_n*s_j) and the period coefficients C_n h(2*k*Theta),
+which the model error and the P12max scan metric read.
 
 The projection of P on exp(1j*omega*t) over K periods factorizes into an
 analytic window integral over s times a geometric sum over k, so the line
@@ -120,12 +120,6 @@ def _tones(phase):
     return np.stack([np.ones_like(phase), np.cos(phase), np.sin(phase)], axis=-1)
 
 
-def _window_tones(step, start, offsets):
-    """h(2*E*(offset - start)), shape (m, 3), of m offsets in the window of
-    ``step`` that opens at ``start``."""
-    return _tones(2.0 * step.energy * (offsets - start))
-
-
 def _comb(x, K):
     """(1/K) * sum_{k<K} exp(1j*k*x); K=None gives the limit K -> infinity.
 
@@ -140,6 +134,29 @@ def _comb(x, K):
     if r == 0.0:
         return 1.0
     return cmath.exp(0.5j * (K - 1) * r) * (math.sin(0.5 * K * r) / (K * math.sin(0.5 * r)))
+
+
+def _projector(sequence, K):
+    """project(omega) = (2/(K*T)) * integral of P(t)*exp(1j*omega*t) over the
+    first K periods (unchecked; None is the limit K -> infinity), exact at any omega."""
+    import numpy as np
+
+    period = sequence.period
+    tables, theta, _ = _line_table(sequence)
+    starts = sequence.boundaries[:-1]
+
+    def project(omega):
+        phi = omega * period
+        plus, minus = _comb(phi + 2.0 * theta, K), _comb(phi - 2.0 * theta, K)
+        sums = np.array([_comb(phi, K), 0.5 * (plus + minus), -0.5j * (plus - minus)])
+        windows = np.array([
+            _window_integral(omega, 2.0 * step.energy, step.tau)
+            for step in sequence.steps
+        ])
+        per_window = np.einsum("nu,nuv,v->n", windows, tables, sums)
+        return complex(2.0 / period * (np.exp(1j * omega * starts) @ per_window))
+
+    return project
 
 
 def _line_spectrum(sequence, l_range, K):
@@ -162,28 +179,12 @@ def _line_spectrum(sequence, l_range, K):
         raise ValueError("need at least one period, got K=%r" % (K,))
     if K is not None and K > _MAX_PERIODS:
         raise ValueError("at most %d periods, got K=%r" % (_MAX_PERIODS, K))
-    import numpy as np
-
     period = sequence.period
     heff = effective_hamiltonian(sequence, branch="positive_a")
     lmin, lmax = l_range
     if lmin > lmax:
         raise ValueError("empty index range %r" % (l_range,))
-    tables, theta, _ = _line_table(sequence)
-    starts = sequence.boundaries[:-1]
-
-    def project(omega):
-        # (2/KT) integral of P(t) exp(1j*omega*t) over the K periods
-        phi = omega * period
-        plus, minus = _comb(phi + 2.0 * theta, K), _comb(phi - 2.0 * theta, K)
-        sums = np.array([_comb(phi, K), 0.5 * (plus + minus), -0.5j * (plus - minus)])
-        windows = np.array([
-            _window_integral(omega, 2.0 * step.energy, step.tau)
-            for step in sequence.steps
-        ])
-        per_window = np.einsum("nu,nuv,v->n", windows, tables, sums)
-        return complex(2.0 / period * (np.exp(1j * omega * starts) @ per_window))
-
+    project = _projector(sequence, K)
     offset = 0.5 * project(0.0).real
     cap = 2.0 * math.pi / sequence.min_tau * (1.0 + 1e-12)
     tol = (_RESOLUTION if K is None else math.pi / K) / period
@@ -348,73 +349,55 @@ def two_step_empirical_model(sequence, p=None):
     return SpectralModel(0.5, tuple(comps))
 
 
-def _aligned_signal(sequence, t_end, per_step):
-    """Boundary-aligned sample times on [0, t_end] and the exact P on them.
+def _aligned_signal(sequence, periods, per_step):
+    """Boundary-aligned sample times on [0, periods*T] and the exact P on them.
 
-    A full period holds per_step samples per step, the last on the step's
-    upper boundary; a partial last period at least per_step (and two) per
-    step it reaches.  Sample j of period k is P at the exact point
-    k*T + s_j, and the end of a period is offset 0 of the next one.  All
-    periods are one product of the window tones and the coefficients of
-    :func:`piecewise_coefficients`, so no time is split back into (k, s).
+    Each of the ``periods`` whole periods holds per_step samples per step,
+    the last on the step's upper boundary, after one sample at t = 0.
+    Sample j of period k is P at the exact point k*T + s_j, and the end of
+    a period is offset 0 of the next one.  All periods are one product of
+    the window tones and the coefficients of :func:`piecewise_coefficients`,
+    so no time is split back into (k, s).
     """
     import numpy as np
 
     period = sequence.period
     bounds = sequence.boundaries
-    n_full = int(math.floor(t_end / period))
     full = [np.linspace(t0, t1, per_step + 1)[1:] for t0, t1 in zip(bounds[:-1], bounds[1:])]
-    tail = []
-    left = t_end - n_full * period
-    if left > 1e-12 * period:
-        for t0, t1 in zip(bounds[:-1], bounds[1:]):
-            if t0 >= left:
-                break
-            hi = min(t1, left)
-            n = max(2, int(math.ceil(per_step * (hi - t0) / (t1 - t0))))
-            tail.append(np.linspace(t0, hi, n + 1)[1:])
     base = np.concatenate(full)
-    times = np.concatenate(
-        [[0.0]] + [base + k * period for k in range(n_full)] + [n_full * period + o for o in tail]
-    )
-    coeffs = piecewise_coefficients(sequence, n_full + 1)
+    times = np.concatenate([[0.0]] + [base + k * period for k in range(periods)])
+    coeffs = piecewise_coefficients(sequence, periods + 1)
     # each window opens on its lower boundary; T is offset 0 of the next period
-    heads = [np.concatenate(([t0], offsets[:-1])) for t0, offsets in zip(bounds, full)]
-    steps = sequence.steps
     grid = np.concatenate([
-        _window_tones(steps[n], bounds[n], o) @ coeffs[n] for n, o in enumerate(heads)
+        _tones(2.0 * step.energy * (np.concatenate(([t0], offsets[:-1])) - t0)) @ coeffs[n]
+        for n, (step, t0, offsets) in enumerate(zip(sequence.steps, bounds, full))
     ]).T
-    last = [_window_tones(steps[n], bounds[n], o) @ coeffs[n, :, n_full] for n, o in enumerate(tail)]
-    return times, np.concatenate([grid[:n_full].ravel(), grid[n_full, :1]] + last)
+    return times, np.concatenate([grid[:periods].ravel(), grid[periods, :1]])
 
 
-def model_error(sequence, model, t_s=None):
+def model_error(sequence, model):
     """Time-averaged absolute deviation of a model from the exact signal.
 
-    eps = (1/t_s) * integral_0^t_s |P_exact(t) - P_model(t)| dt, by
-    trapezoidal quadrature on a boundary-aligned grid with 64 samples per
-    step; P_exact comes from the line tables.
+    eps = (1/t_s) * integral_0^t_s |P_exact(t) - P_model(t)| dt over the
+    horizon t_s = 40*T, by trapezoidal quadrature on the boundary-aligned
+    grid of 40 whole periods with 64 samples per step; P_exact comes from
+    the line tables.
 
     Parameters
     ----------
     sequence : PulseSequence
     model : SpectralModel or BeatPrediction
         Anything with an ``evaluate(times)`` method.
-    t_s : float or None
-        Averaging horizon; None uses 40 periods.
 
     Returns
     -------
     ModelError
-        Fields (value, horizon).
+        Fields (value, horizon), the horizon being 40*T.
     """
-    if t_s is None:
-        t_s = 40.0 * sequence.period
-    if t_s <= 0.0:
-        raise ValueError("horizon must be positive")
     import numpy as np
 
-    times, exact = _aligned_signal(sequence, t_s, 64)
+    t_s = 40.0 * sequence.period
+    times, exact = _aligned_signal(sequence, 40, 64)
     approx = model.evaluate(times)
     value = float(np.trapezoid(np.abs(exact - approx), times)) / t_s
     return ModelError(value, t_s)

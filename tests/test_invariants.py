@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from stepdrive import (
     PulseSequence,
+    beat_prediction,
     classify,
     dominant_model,
     effective_hamiltonian,
@@ -27,7 +28,7 @@ from stepdrive import (
 from stepdrive.phenomena import _last_step_root
 from stepdrive.spectrum import _aligned_signal
 
-from helpers import random_sequence
+from helpers import quarter_cycle_sequence, random_sequence
 
 
 def in_time_unit(seq, s):
@@ -65,7 +66,7 @@ def unit_products(seq, s, times):
         ]
         out["eps_m", K] = model_error(seq, dominant_model(model)).value
     out["classify"] = classify(seq).lines()
-    out["P12max"] = float(_aligned_signal(seq, 40.0 * seq.period, 64)[1].max())
+    out["P12max"] = float(_aligned_signal(seq, 40, 64)[1].max())
     duration = _last_step_root(seq, "durations")
     out["durations"] = None if duration is None else duration / s
     out["phase"] = _last_step_root(seq, "phase")
@@ -106,6 +107,32 @@ def test_a_change_of_time_unit_changes_no_bit(drive, k):
         roots = field_root(seq, field, 1.0), field_root(scaled, field, s)
         if "subnormal" not in roots:
             assert bits(roots[1]) == bits(roots[0]), field
+
+
+@seed(31)
+@settings(max_examples=100, deadline=None)
+@given(drive=st.integers(0, 2**32 - 1), k=st.integers(-40, 40))
+def test_a_change_of_time_unit_moves_no_bit_of_the_beat(drive, k):
+    """The beat fit in time unit 1/s, s = 2**k: its tones read back in the
+    unit s = 1 and its shift t_p/s move no bit, on quarter-cycle drives of
+    2-4 steps with a resonant first step, the others resonant or strongly
+    detuned, and one half cycle when the step count is odd."""
+    rng = np.random.default_rng(drive)
+    n = int(rng.integers(2, 5))
+    eps = rng.uniform(0.5, 2.0, n)
+    deltas = [0.0] + [
+        float(rng.choice([0.0, rng.choice([-1.0, 1.0]) * rng.uniform(12.0, 60.0) * e]))
+        for e in eps[1:]
+    ]
+    half_cycle = (int(rng.integers(0, n)),) if n % 2 else ()
+    seq = quarter_cycle_sequence(list(eps), deltas, list(rng.uniform(-math.pi, math.pi, n)),
+                                 half_cycle)
+    s = math.ldexp(1.0, k)
+    want = beat_prediction(seq)
+    got = beat_prediction(in_time_unit(seq, s))
+    assert bits((got.varpi_1 * s, got.varpi_1_prime * s, got.omega_b * s, got.t_p / s)) \
+        == bits((want.varpi_1, want.varpi_1_prime, want.omega_b, want.t_p))
+    assert got.n_resonant == want.n_resonant
 
 
 def gauge(seq, phi):

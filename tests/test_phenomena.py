@@ -28,13 +28,12 @@ from stepdrive import (
 from stepdrive import phenomena
 from stepdrive.phenomena import _FREE_FIELDS, _with_field
 from stepdrive.propagator import _window_starts, compose
-from stepdrive.spectrum import _aligned_signal
 
 from helpers import mp_propagator, quarter_cycle_sequence, random_sequence, resonant_plus_detuned
 
 # frozen beat prediction of the resonant-plus-detuned pair
 RPD_OMEGA_B = 0.060583604204843544
-RPD_T_P = -51.165270419788364
+RPD_T_P = -51.165458369581906
 
 
 def opposed_resonant_pair():
@@ -247,40 +246,59 @@ def test_detuned_half_cycle_drops_out_of_the_rules():
     assert model_error(seq, bp).value < 0.05
 
 
-def scipy_fit_misfits(seq, bp):
-    """The beat fit's misfit at bp.t_p and at SciPy's bounded minimum.
+def fit_periods(omega_b, period):
+    """The beat fit's horizon in whole periods."""
+    if omega_b > 0.0:
+        return math.ceil(min(max(4.0 * math.pi / omega_b / period, 10.0), 2000.0))
+    return 40
 
-    The reference refinement: the same data inner products and dense scan
-    as phenomena._fit_time_shift, then minimize_scalar on the bracket
-    around the scan's best point.
-    """
+
+def trapezoid_moments(seq, rates, periods, per_step=256):
+    """integral g**2, integral f*g and integral f f^T dt over [0, periods*T],
+    g = 1/2 - P and f = (cos(r*t) for r in rates, then sin(r*t)), by the trapezoid
+    rule on per_step uniform samples of every step of transition_probabilities."""
     period = seq.period
+    edges = (np.arange(periods)[:, None] * period + seq.boundaries[None, :-1]).ravel()
+    ends = np.append(edges[1:], periods * period)
+    frac = np.arange(per_step) / per_step
+    times = np.append((edges[:, None] + frac * (ends - edges)[:, None]).ravel(), periods * period)
+    weights = np.zeros_like(times)
+    weights[:-1] += 0.5 * np.diff(times)
+    weights[1:] += 0.5 * np.diff(times)
+    g = 0.5 - transition_probabilities(seq, times)
+    f = np.concatenate(([np.cos(r * times) for r in rates], [np.sin(r * times) for r in rates]))
+    return (weights * g) @ g, f @ (weights * g), (f * weights) @ f.T
+
+
+def reference_fit(seq, bp, finer=10):
+    """The time-weighted misfit integral (P - model)**2 dt over the fit's
+    whole periods, from trapezoid_moments, as a function of t_p, and its
+    least value: SciPy's bounded minimum in every basin of a scan `finer`
+    times denser than the program's."""
     varpi, varpi_prime, omega_b = bp.varpi_1, bp.varpi_1_prime, bp.omega_b
-    horizon = min(max(4.0 * math.pi / omega_b, 10.0 * period), 2000.0 * period)
-    times, exact = _aligned_signal(seq, horizon, 16)
-
-    def tones(t):
-        return np.stack([np.cos(2.0 * varpi * t), np.sin(2.0 * varpi * t),
-                         np.cos(2.0 * varpi_prime * t), np.sin(2.0 * varpi_prime * t)])
-
-    basis = tones(times)
-    corr = basis @ (0.5 - exact)
-    gram = basis @ basis.T
+    rates = (2.0 * varpi, 2.0 * varpi_prime)
+    g2, corr, gram = trapezoid_moments(seq, rates, fit_periods(omega_b, seq.period))
 
     def misfit(t_p):
-        w = tones(t_p)
-        return float(-0.5 * (corr @ w) + (w @ gram @ w) / 16.0)
+        w = np.concatenate(([np.cos(r * t_p) for r in rates], [np.sin(r * t_p) for r in rates]))
+        return g2 - 0.5 * (corr @ w) + np.sum(w * (gram @ w), axis=0) / 16.0
 
     mean_tone = 0.5 * abs(varpi + varpi_prime)
-    half_range = max(math.pi / omega_b, math.pi / mean_tone, period)
-    step = math.pi / mean_tone / 40.0
-    count = min(int(2.0 * half_range / step) + 1, 400001)
+    half_range = max(math.pi / omega_b, math.pi / mean_tone, seq.period)
+    count = int(2.0 * half_range / (math.pi / mean_tone / (40.0 * finer))) + 1
     shifts = np.linspace(-half_range, half_range, count)
-    w_all = tones(shifts)
-    best = int(np.argmin(-0.5 * (corr @ w_all) + np.sum(w_all * (gram @ w_all), axis=0) / 16.0))
-    bracket = (shifts[max(best - 1, 0)], shifts[min(best + 1, count - 1)])
-    res = scipy.optimize.minimize_scalar(misfit, bounds=bracket, method="bounded")
-    return misfit(bp.t_p), res.fun
+    costs = misfit(shifts)
+    basins = np.flatnonzero(np.concatenate(([True], costs[1:] <= costs[:-1]))
+                            & np.concatenate((costs[:-1] <= costs[1:], [True])))
+    best = float(costs.min())
+    for i in basins:
+        bracket = (shifts[max(i - 1, 0)], shifts[min(i + 1, count - 1)])
+        res = scipy.optimize.minimize_scalar(
+            lambda t: float(misfit(t)), bounds=bracket, method="bounded",
+            options={"xatol": 1e-12 * max(1.0, abs(bracket[0]))},
+        )
+        best = min(best, res.fun)
+    return lambda t: float(misfit(t)), best
 
 
 def test_beat_fit_is_at_least_as_good_as_scipy():
@@ -301,10 +319,33 @@ def test_beat_fit_is_at_least_as_good_as_scipy():
         bp = beat_prediction(seq)
         if bp.omega_b == 0.0:
             continue
-        got, scipy_best = scipy_fit_misfits(seq, bp)
-        assert got <= scipy_best + 1e-15 * abs(scipy_best)
+        misfit, best = reference_fit(seq, bp)
+        assert misfit(bp.t_p) <= best * (1.0 + 1e-9)
         fitted += 1
     assert fitted >= 20
+
+
+def test_fit_moments_match_a_fine_trapezoid():
+    # the closed-form correlations and Gram matrix of the beat fit against
+    # the trapezoid rule on the propagator's signal at 128 and 256 samples
+    # per step, whose error falls like the square of the spacing, so that
+    # (4*T_256 - T_128)/3 removes its leading term; at the beat tones, and
+    # at arbitrary ones of a general drive
+    rng = np.random.default_rng(47)
+    cases = [(resonant_plus_detuned(), None, 126)]
+    for _ in range(4):
+        seq = random_sequence(rng, max_steps=4, lo=0.3, hi=3.0)
+        cases.append((seq, tuple(rng.uniform(-3.0, 3.0, 2)), 17))
+    for seq, rates, periods in cases:
+        if rates is None:
+            bp = beat_prediction(seq)
+            rates = (2.0 * bp.varpi_1, 2.0 * bp.varpi_1_prime)
+        corr, gram = phenomena._fit_moments(seq, rates, periods)
+        coarse, fine = (trapezoid_moments(seq, rates, periods, n)[1:] for n in (128, 256))
+        want_corr, want_gram = ((4.0 * b - a) / 3.0 for a, b in zip(coarse, fine))
+        scale = periods * seq.period
+        assert np.max(np.abs(corr - want_corr)) <= 1e-9 * scale
+        assert np.max(np.abs(gram - want_gram)) <= 1e-9 * scale
 
 
 def test_beat_prediction_input_validation():
